@@ -54,13 +54,20 @@
 #      digest gates, thread-count-independence sweep, isolation and
 #      mid-storm rollout assertions; BENCH_serving_mt.json is archived to
 #      bench-archive/)
+#  13. the perfbench golden-digest gate (perfbench/run.py at seed 0, 30 s,
+#      untraced, for label_census, label_imdb and serve_imdb): each run must
+#      end with a result line reporting "correct": true and "failed": 0, and
+#      its REPORT line must say "golden": "match" — the run digest equals the
+#      one committed in perfbench/golden.tsv, so any numeric drift in the
+#      labelling protocol or the served predictions fails the gate
 #
 # Usage: scripts/verify.sh [--skip-asan] [--skip-tsan] [--skip-simd]
 #                          [--skip-perf] [--skip-chaos] [--skip-trace]
 #                          [--skip-serve] [--skip-serve-chaos] [--skip-learn]
-#                          [--skip-obs] [--skip-mt] [--only <gate>]
+#                          [--skip-obs] [--skip-mt] [--skip-perfbench]
+#                          [--only <gate>]
 # --only runs a single gate (tier1, trace, asan, tsan, simd, perf, serve,
-# chaos, serve-chaos, learn, obs, mt) after the shared tier-1 build,
+# chaos, serve-chaos, learn, obs, mt, perfbench) after the shared tier-1 build,
 # skipping everything else. Runs from any directory; build trees live next
 # to the sources as build/, build-asan/, build-tsan/ and build-nosimd/.
 set -euo pipefail
@@ -78,6 +85,7 @@ SKIP_SERVE_CHAOS=0
 SKIP_LEARN=0
 SKIP_OBS=0
 SKIP_MT=0
+SKIP_PERFBENCH=0
 ONLY=""
 EXPECT_ONLY=0
 for arg in "$@"; do
@@ -98,6 +106,7 @@ for arg in "$@"; do
     --skip-learn) SKIP_LEARN=1 ;;
     --skip-obs) SKIP_OBS=1 ;;
     --skip-mt) SKIP_MT=1 ;;
+    --skip-perfbench) SKIP_PERFBENCH=1 ;;
     --only) EXPECT_ONLY=1 ;;
     --only=*) ONLY="${arg#--only=}" ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
@@ -107,7 +116,7 @@ if [[ "$EXPECT_ONLY" -eq 1 ]]; then
   echo "--only requires a gate name" >&2; exit 2
 fi
 case "$ONLY" in
-  ""|tier1|trace|asan|tsan|simd|perf|serve|chaos|serve-chaos|learn|obs|mt) ;;
+  ""|tier1|trace|asan|tsan|simd|perf|serve|chaos|serve-chaos|learn|obs|mt|perfbench) ;;
   *) echo "unknown gate for --only: $ONLY" >&2; exit 2 ;;
 esac
 
@@ -357,6 +366,29 @@ if gate_enabled mt "$SKIP_MT"; then
   else
     echo "note: $MT_JSON not found; skipping archive" >&2
   fi
+fi
+
+if gate_enabled perfbench "$SKIP_PERFBENCH"; then
+  echo "== perfbench golden-digest gate (seed 0, 30 s, all workloads) =="
+  for workload in label_census label_imdb serve_imdb; do
+    if ! OUT="$(python3 perfbench/run.py --workload "$workload" --seed 0 \
+                  --seconds 30 --trace 0)"; then
+      echo "FAIL: perfbench $workload exited nonzero" >&2
+      exit 1
+    fi
+    RESULT="$(tail -n 1 <<<"$OUT")"
+    echo "  $workload: $(grep -oE '"golden": "[a-z]+"' <<<"$OUT" || true)" \
+         "$(grep -oE '"correct": (true|false)|"failed": [0-9]+' \
+              <<<"$RESULT" | tr '\n' ' ')"
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$RESULT" ||
+       ! grep -q '"golden": "match"' <<<"$OUT"; then
+      echo "FAIL: perfbench $workload is not correct, failed operations," \
+           "or its digest does not match perfbench/golden.tsv" >&2
+      exit 1
+    fi
+  done
 fi
 
 echo "verify: all gates passed"

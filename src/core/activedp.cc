@@ -13,6 +13,15 @@
 
 namespace activedp {
 
+namespace {
+
+bool UsesPairMoments(LabelModelType type) {
+  return type == LabelModelType::kMetal ||
+         type == LabelModelType::kMetalCompletion;
+}
+
+}  // namespace
+
 ActiveDp::ActiveDp(const FrameworkContext& context, ActiveDpOptions options)
     : context_(&context),
       options_(options),
@@ -206,6 +215,7 @@ double ActiveDp::ValidationLabelModelAccuracy(
   const LabelMatrix valid_selected = valid_matrix_.SelectColumns(columns);
   const LabelMatrix train_selected = train_matrix_.SelectColumns(columns);
   auto model = MakeLabelModel(options_.label_model_type);
+  model->set_limits(options_.policy.limits);
   if (!model->Fit(train_selected, context_->num_classes).ok()) return -1.0;
   const Result<std::vector<int>> predictions =
       model->PredictAll(valid_selected);
@@ -216,6 +226,17 @@ double ActiveDp::ValidationLabelModelAccuracy(
 void ActiveDp::RetrainLabelModel() {
   const int m = static_cast<int>(lfs_.size());
   if (m == 0) return;
+
+  // The MeTaL models read their pairwise moments from the matrix's
+  // pair-moment table. Keeping it on the session's training matrix — built
+  // once here, extended by every AddColumn after — makes each fit below (the
+  // LabelPick guard fits and the main fit) read an O(k^2) slice of it
+  // instead of rebuilding moments from the rows. A budget trip leaves it
+  // unbuilt; the fits then build on their slices and report the trip.
+  if (UsesPairMoments(options_.label_model_type) &&
+      context_->num_classes == 2) {
+    (void)train_matrix_.EnsurePairMoments(options_.policy.limits);
+  }
 
   std::vector<int> all(m);
   std::iota(all.begin(), all.end(), 0);

@@ -38,70 +38,44 @@ Status MetalCompletionModel::Fit(const LabelMatrix& matrix, int num_classes) {
   }
   fallback_.reset();
 
-  // Spin means, coverages and class balance via majority vote, row-driven
-  // off the matrix's CSR view (O(nnz) instead of O(n m)). Chunked over
-  // rows with per-chunk partial sums combined in chunk order; every term is
-  // a spin in {-1, +1} or a count, so the sums are exact integers and the
+  // Class balance via majority vote and per-column spin means from column
+  // scans of the int8 matrix (O(n m), no row view needed); coverages are the
+  // diagonal of the pair-moment table. Every sum is an exact integer, so the
   // result is bitwise identical at any thread count.
-  matrix.EnsureRows();  // build the CSR view before the parallel regions
-  const int grain = BoundedGrain(n, 1024, 64);
-  const int chunks = NumChunks(n, grain);
-  std::vector<std::vector<double>> mean_part(chunks), coverage_part(chunks);
-  std::vector<double> mv_positive_part(chunks, 0.0), mv_total_part(chunks, 0.0);
+  std::vector<int8_t> mv_spin;
+  RETURN_IF_ERROR(MajorityVoteSpins(matrix, options_.limits,
+                                    "metal.completion", &mv_spin));
+  positive_prior_ = LaplacePositivePrior(mv_spin);
+  RETURN_IF_ERROR(matrix.EnsurePairMoments(options_.limits));
+  std::vector<double> mean(m), coverage(m);
   RETURN_IF_ERROR(ParallelForChunks(
-      ComputePool(), n, grain, options_.limits, "metal.completion",
-      [&](int chunk, int begin, int end) {
-        std::vector<double>& pmean = mean_part[chunk];
-        std::vector<double>& pcov = coverage_part[chunk];
-        pmean.assign(m, 0.0);
-        pcov.assign(m, 0.0);
-        for (int i = begin; i < end; ++i) {
-          const ActiveRowView row = matrix.ActiveRow(i);
-          double vote = 0.0;
-          for (int k = 0; k < row.nnz; ++k) {
-            const double s = row.labels[k] == 1 ? 1.0 : -1.0;
-            pmean[row.cols[k]] += s;
-            pcov[row.cols[k]] += 1.0;
-            vote += s;
-          }
-          if (vote != 0.0) {
-            mv_total_part[chunk] += 1.0;
-            if (vote > 0.0) mv_positive_part[chunk] += 1.0;
-          }
+      ComputePool(), m, BoundedGrain(m, 8, 64), options_.limits,
+      "metal.completion", [&](int /*chunk*/, int begin, int end) {
+        for (int j = begin; j < end; ++j) {
+          const int8_t* column = matrix.column(j).data();
+          int32_t sum = 0;
+          for (int i = 0; i < n; ++i) sum += SpinOf(column[i]);
+          mean[j] = static_cast<double>(sum) / n;
+          coverage[j] = static_cast<double>(matrix.PairCount(j, j)) / n;
         }
       }));
-  std::vector<double> mean(m, 0.0), coverage(m, 0.0);
-  double mv_positive = 1.0, mv_total = 2.0;  // Laplace
-  for (int c = 0; c < chunks; ++c) {
-    for (int j = 0; j < m; ++j) {
-      mean[j] += mean_part[c][j];
-      coverage[j] += coverage_part[c][j];
-    }
-    mv_positive += mv_positive_part[c];
-    mv_total += mv_total_part[c];
-  }
-  for (int j = 0; j < m; ++j) {
-    mean[j] /= n;
-    coverage[j] /= n;
-  }
-  positive_prior_ = mv_positive / mv_total;
   const double ey = 2.0 * positive_prior_ - 1.0;
   const double var_y = std::max(1e-3, 1.0 - ey * ey);
 
-  // Spin covariance with a ridge (abstains contribute 0 spins), via the
-  // pairwise active-product matrix P = S^T S of the spin CSR matrix:
-  //   Σ(j, k) = P(j, k) / n − mean_j · mean_k.
-  // This is the textbook expansion of Σ_i (s_ij − m_j)(s_ik − m_k) / n and
-  // costs O(sum_i |active_i|^2) instead of O(n m^2). Every entry of P is an
-  // exact integer sum of ±1 products accumulated with chunk-ordered
-  // partials, so P — and therefore Σ — is bitwise identical at any thread
-  // count.
-  RETURN_IF_ERROR(options_.limits.Check("metal.completion"));
-  Matrix sigma = matrix.SpinCsr().SelfInnerProduct();
-  RETURN_IF_ERROR(options_.limits.Check("metal.completion"));
+  // Spin covariance with a ridge (abstains contribute 0 spins), from the
+  // matrix's pair-moment table P = S^T S (LabelMatrix::EnsurePairMoments;
+  // its diagonal is each column's activation count):
+  //   Σ(j, k) = P(j, k) / n − mean_j · mean_k,
+  // the textbook expansion of Σ_i (s_ij − m_j)(s_ik − m_k) / n. Reading
+  // the table is O(m^2) when the matrix's owner keeps it current (ActiveDp
+  // does); otherwise EnsurePairMoments above built it at
+  // O(sum_i |active_i|^2). Its entries are exact integers, so Σ is bitwise
+  // identical however the table was built and at any thread count.
+  Matrix sigma(m, m);
   for (int j = 0; j < m; ++j) {
     for (int k = j; k < m; ++k) {
-      sigma(j, k) = sigma(j, k) / n - mean[j] * mean[k];
+      sigma(j, k) =
+          static_cast<double>(matrix.PairSum(j, k)) / n - mean[j] * mean[k];
       sigma(k, j) = sigma(j, k);
     }
     sigma(j, j) += options_.ridge;

@@ -22,8 +22,9 @@ struct MetalCompletionOptions {
   /// off-diagonal system has too few equations) and the model delegates to
   /// the robust triplet estimator (MetalModel).
   int min_lfs_for_completion = 8;
-  /// Checked per chunk inside the row scans and covariance build; trips as
-  /// DeadlineExceeded / Cancelled. Propagated into the triplet fallback.
+  /// Checked per chunk of the column scans and of a pair-moment table
+  /// build, and every 32 gradient steps; trips as DeadlineExceeded /
+  /// Cancelled. Propagated into the triplet fallback.
   RunLimits limits;
 };
 
@@ -39,6 +40,13 @@ struct MetalCompletionOptions {
 /// off-diagonal entry and therefore inherits real MeTaL's sensitivity to
 /// dependent (correlated) LFs — the pathology LabelPick exists to remove
 /// (§3.4). This is the paper's default label model (§4.1.3).
+///
+/// Cost: two O(n m) int8 column scans (majority vote for the class
+/// balance, spin means); coverages and Σ are read from the matrix's
+/// pair-moment table (LabelMatrix::EnsurePairMoments) in O(m^2), which the
+/// matrix's owner keeps — a fit on a matrix without one builds it at
+/// O(sum_i |active_i|^2); then the O(m^3) inverse and the O(gd_iterations
+/// * m^2) completion solve.
 class MetalCompletionModel : public LabelModel {
  public:
   explicit MetalCompletionModel(MetalCompletionOptions options = {})

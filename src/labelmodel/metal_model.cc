@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "labelmodel/spin_utils.h"
-#include "math/matrix.h"
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/metrics.h"
@@ -46,104 +45,45 @@ Status MetalModel::Fit(const LabelMatrix& matrix, int num_classes) {
   const int m = matrix.num_cols();
   num_lfs_ = m;
 
-  // The matrix's CSR view gives each row's active (column, spin) entries
-  // directly — the pairwise pass is O(sum_i |active_i|^2) instead of
-  // O(n m^2) with no per-row column scan at all. Rows are processed in
-  // fixed-size chunks with per-chunk partial moment matrices combined in
-  // chunk order; every accumulated term is a spin product in {-1, +1} (or a
-  // count of 1.0), so the sums are exact integers and the combined result is
-  // bitwise identical at any thread count. Chunk count is capped so the
-  // partial matrices stay O(64 m^2) total.
-  matrix.EnsureRows();  // build the CSR view before the parallel region
-  const int grain = BoundedGrain(n, 1024, 32);
-  const int chunks = NumChunks(n, grain);
-  std::vector<Matrix> pair_sum_part(chunks), pair_count_part(chunks);
-  std::vector<double> mv_spin(n, 0.0);  // majority-vote spin per row
-  RETURN_IF_ERROR(ParallelForChunks(
-      ComputePool(), n, grain, options_.limits, "metal.fit",
-      [&](int chunk, int begin, int end) {
-        Matrix& psum = pair_sum_part[chunk];
-        Matrix& pcount = pair_count_part[chunk];
-        psum = Matrix(m, m);
-        pcount = Matrix(m, m);
-        for (int i = begin; i < end; ++i) {
-          const ActiveRowView row = matrix.ActiveRow(i);
-          double vote = 0.0;
-          for (int k = 0; k < row.nnz; ++k) {
-            vote += row.labels[k] == 1 ? 1.0 : -1.0;
-          }
-          mv_spin[i] = vote > 0.0 ? 1.0 : (vote < 0.0 ? -1.0 : 0.0);
-          for (int a = 0; a < row.nnz; ++a) {
-            const double sa = row.labels[a] == 1 ? 1.0 : -1.0;
-            const int ja = row.cols[a];
-            for (int b = a + 1; b < row.nnz; ++b) {
-              const double sb = row.labels[b] == 1 ? 1.0 : -1.0;
-              psum(ja, row.cols[b]) += sa * sb;
-              pcount(ja, row.cols[b]) += 1.0;
-            }
-          }
-        }
-      }));
-  Matrix pair_sum(m, m);
-  Matrix pair_count(m, m);
-  for (int c = 0; c < chunks; ++c) {
-    pair_sum.AddInPlace(pair_sum_part[c]);
-    pair_count.AddInPlace(pair_count_part[c]);
-  }
-  pair_sum_part.clear();
-  pair_count_part.clear();
-
+  // Pairwise moments are read from the matrix's pair-moment table, which
+  // the matrix's owner keeps (LabelMatrix::EnsurePairMoments): ActiveDp
+  // builds it once on its training matrix, every AddColumn extends it and
+  // SelectColumns hands each fit an O(m^2) slice. A matrix without a table
+  // gets one built here, at O(sum_i |active_i|^2). Either way the entries
+  // are exact integers, so the moments do not depend on how the table came
+  // to be or on the thread count.
+  RETURN_IF_ERROR(matrix.EnsurePairMoments(options_.limits));
   auto moment = [&](int i, int j, double* out) {
-    const int a = std::min(i, j), b = std::max(i, j);
-    if (pair_count(a, b) < options_.min_pair_count) return false;
-    *out = pair_sum(a, b) / pair_count(a, b);
+    const double count = matrix.PairCount(i, j);
+    if (count < options_.min_pair_count) return false;
+    *out = matrix.PairSum(i, j) / count;
     return true;
   };
 
-  // Class balance from majority vote.
-  double pos = 1.0, total = 2.0;  // Laplace smoothing
-  for (int i = 0; i < n; ++i) {
-    if (mv_spin[i] == 0.0) continue;
-    total += 1.0;
-    if (mv_spin[i] > 0.0) pos += 1.0;
-  }
-  positive_prior_ = pos / total;
-
-  // Agreement-with-majority-vote fallback accuracies, row-driven off the
-  // CSR view (O(nnz) instead of O(n m)). Per-chunk partial sums are
-  // combined in chunk order; every term is ±1 or a count, so the sums are
-  // exact integers and equal the per-column scan's bitwise.
+  // Class balance from majority vote, and agreement-with-majority-vote
+  // fallback accuracies, from column scans of the int8 matrix: O(n m)
+  // branch-free passes that need no row view. Each column's sums are owned
+  // by one chunk and every term is ±1 or a count, so the sums are exact
+  // integers and bitwise identical at any thread count.
+  std::vector<int8_t> mv_spin;
+  RETURN_IF_ERROR(
+      MajorityVoteSpins(matrix, options_.limits, "metal.fit", &mv_spin));
+  positive_prior_ = LaplacePositivePrior(mv_spin);
   std::vector<double> fallback(m, 0.5);
-  std::vector<std::vector<double>> agree_part(chunks), count_part(chunks);
   RETURN_IF_ERROR(ParallelForChunks(
-      ComputePool(), n, grain, options_.limits, "metal.fit",
-      [&](int chunk, int begin, int end) {
-        std::vector<double>& agree = agree_part[chunk];
-        std::vector<double>& count = count_part[chunk];
-        agree.assign(m, 0.0);
-        count.assign(m, 0.0);
-        for (int i = begin; i < end; ++i) {
-          if (mv_spin[i] == 0.0) continue;
-          const ActiveRowView row = matrix.ActiveRow(i);
-          for (int k = 0; k < row.nnz; ++k) {
-            const double s = row.labels[k] == 1 ? 1.0 : -1.0;
-            count[row.cols[k]] += 1.0;
-            agree[row.cols[k]] += s * mv_spin[i];
+      ComputePool(), m, BoundedGrain(m, 8, 64), options_.limits, "metal.fit",
+      [&](int /*chunk*/, int begin, int end) {
+        for (int j = begin; j < end; ++j) {
+          const int8_t* column = matrix.column(j).data();
+          int32_t agree = 0, count = 0;
+          for (int i = 0; i < n; ++i) {
+            const int product = SpinOf(column[i]) * mv_spin[i];
+            agree += product;
+            count += product != 0;
           }
+          if (count > 0) fallback[j] = static_cast<double>(agree) / count;
         }
       }));
-  {
-    std::vector<double> agree(m, 0.0), count(m, 0.0);
-    for (int c = 0; c < chunks; ++c) {
-      for (int j = 0; j < m; ++j) {
-        agree[j] += agree_part[c][j];
-        count[j] += count_part[c][j];
-      }
-    }
-    for (int j = 0; j < m; ++j) {
-      fallback[j] = count[j] > 0.0 ? agree[j] / count[j] : 0.5;
-    }
-  }
 
   Rng rng(options_.seed);
   accuracies_.assign(m, 0.0);

@@ -19,8 +19,9 @@ struct MetalModelOptions {
   /// Accuracy parameters are clamped into [-clamp, clamp].
   double accuracy_clamp = 0.95;
   uint64_t seed = 13;
-  /// Checked between estimation phases and periodically inside the row
-  /// scans; trips as DeadlineExceeded / Cancelled.
+  /// Checked per chunk of a pair-moment table build and of the
+  /// majority-vote column scans, and every 64 LFs of the triplet phase;
+  /// trips as DeadlineExceeded / Cancelled.
   RunLimits limits;
 };
 
@@ -34,6 +35,13 @@ struct MetalModelOptions {
 /// assumption; LFs with insufficient co-activation fall back to
 /// agreement-with-majority-vote estimates. All eight paper datasets are
 /// binary; multiclass aggregation is available via DawidSkeneModel.
+///
+/// Cost: the moments come from the matrix's pair-moment table
+/// (LabelMatrix::EnsurePairMoments), which the matrix's owner keeps — a fit
+/// on a matrix without one builds it at O(sum_i |active_i|^2). The rest of
+/// a fit is two O(n m) int8 column scans (majority vote, then agreement
+/// with it for the fallback accuracies) and O(m * max_triplets_per_lf)
+/// table reads.
 class MetalModel : public LabelModel {
  public:
   explicit MetalModel(MetalModelOptions options = {}) : options_(options) {}

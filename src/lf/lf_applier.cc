@@ -14,8 +14,36 @@ void LabelMatrix::AddColumn(std::vector<int8_t> column) {
   for (int i = 0; i < num_rows_; ++i) {
     if (column[i] != kAbstain) ++active_count_[i];
   }
+  if (pairs_built_) ExtendPairMoments(column);
   columns_.push_back(std::move(column));
   rows_built_ = false;
+}
+
+void LabelMatrix::ExtendPairMoments(const std::vector<int8_t>& column) {
+  // Gather the new column's active rows once, then pair it with every
+  // existing column over just those rows.
+  std::vector<int32_t> rows;
+  std::vector<int8_t> spins;
+  for (int i = 0; i < num_rows_; ++i) {
+    if (column[i] == kAbstain) continue;
+    rows.push_back(i);
+    spins.push_back(static_cast<int8_t>(SpinOf(column[i])));
+  }
+  const int k = num_cols();
+  pairs_.resize(PairIndex(0, k + 1));
+  PairMoment* out = pairs_.data() + PairIndex(0, k);
+  for (int j = 0; j < k; ++j) {
+    const int8_t* col = columns_[j].data();
+    int32_t sum = 0, count = 0;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const int8_t label = col[rows[r]];
+      sum += SpinOf(label) * spins[r];
+      count += label != kAbstain;
+    }
+    out[j] = {sum, count};
+  }
+  const int32_t active = static_cast<int32_t>(rows.size());
+  out[k] = {active, active};
 }
 
 void LabelMatrix::Set(int row, int col, int value) {
@@ -24,6 +52,8 @@ void LabelMatrix::Set(int row, int col, int value) {
   if (value != kAbstain) ++active_count_[row];
   columns_[col][row] = static_cast<int8_t>(value);
   rows_built_ = false;
+  pairs_built_ = false;
+  pairs_.clear();
 }
 
 std::vector<int> LabelMatrix::Row(int row) const {
@@ -97,12 +127,65 @@ CsrMatrix LabelMatrix::SpinCsr() const {
   return out;
 }
 
+Status LabelMatrix::EnsurePairMoments(const RunLimits& limits) const {
+  if (pairs_built_) return Status::Ok();
+  const int m = num_cols();
+  const size_t size = PairIndex(0, m);
+  EnsureRows();  // build the CSR view before the parallel region
+  // Chunk-private tables summed afterwards; the entries are integers, so
+  // the table is identical at any thread count. Chunk count is capped so
+  // the partial tables stay O(32 m^2) total.
+  const int grain = BoundedGrain(num_rows_, 1024, 32);
+  std::vector<std::vector<PairMoment>> parts(NumChunks(num_rows_, grain));
+  RETURN_IF_ERROR(ParallelForChunks(
+      ComputePool(), num_rows_, grain, limits, "label_matrix.pair_moments",
+      [&](int chunk, int begin, int end) {
+        std::vector<PairMoment>& part = parts[chunk];
+        part.assign(size, PairMoment{});
+        for (int i = begin; i < end; ++i) {
+          const ActiveRowView row = ActiveRow(i);
+          for (int b = 0; b < row.nnz; ++b) {
+            // Ascending columns: the row's earlier entries pair as (a, b)
+            // with a < b, and the entry itself lands on the diagonal.
+            PairMoment* column = part.data() + PairIndex(0, row.cols[b]);
+            const int sb = SpinOf(row.labels[b]);
+            for (int a = 0; a < b; ++a) {
+              PairMoment& entry = column[row.cols[a]];
+              entry.sum += SpinOf(row.labels[a]) * sb;
+              entry.count += 1;
+            }
+            column[row.cols[b]].sum += 1;
+            column[row.cols[b]].count += 1;
+          }
+        }
+      }));
+  pairs_.assign(size, PairMoment{});
+  for (const std::vector<PairMoment>& part : parts) {
+    for (size_t e = 0; e < size; ++e) {
+      pairs_[e].sum += part[e].sum;
+      pairs_[e].count += part[e].count;
+    }
+  }
+  pairs_built_ = true;
+  return Status::Ok();
+}
+
 LabelMatrix LabelMatrix::SelectColumns(const std::vector<int>& cols) const {
   LabelMatrix out(num_rows_);
   for (int j : cols) {
     CHECK_GE(j, 0);
     CHECK_LT(j, num_cols());
     out.AddColumn(columns_[j]);
+  }
+  if (pairs_built_) {
+    const int k = static_cast<int>(cols.size());
+    out.pairs_.resize(PairIndex(0, k));
+    for (int b = 0; b < k; ++b) {
+      for (int a = 0; a <= b; ++a) {
+        out.pairs_[PairIndex(a, b)] = PairAt(cols[a], cols[b]);
+      }
+    }
+    out.pairs_built_ = true;
   }
   return out;
 }

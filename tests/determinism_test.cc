@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -170,6 +171,71 @@ TEST(DeterminismTest, PipelineBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial, RunPipelineDigest(seed)) << "seed " << seed;
   }
   Tracer::Global().Disable();
+}
+
+// Serialized parameters of both MeTaL models fit on `matrix`.
+std::string MetalParams(const LabelMatrix& matrix) {
+  MetalModel metal;
+  MetalCompletionModel completion;
+  EXPECT_TRUE(metal.Fit(matrix, 2).ok());
+  EXPECT_TRUE(completion.Fit(matrix, 2).ok());
+  return metal.SerializeParams().value() + " | " +
+         completion.SerializeParams().value();
+}
+
+// The MeTaL fits read pairwise moments from the matrix's pair-moment table.
+// A table kept current by AddColumn (the ActiveDp session path), sliced by
+// SelectColumns, or built from scratch inside Fit — at any pool width —
+// must yield the same parameters bitwise.
+TEST(DeterminismTest, PairMomentTableBitwiseIdenticalAcrossBuildPaths) {
+  // Sparse keyword-style matrix over a synthetic corpus.
+  SyntheticTextConfig config;
+  config.num_examples = 3000;
+  config.num_classes = 2;
+  config.signal_words_per_class = 24;
+  config.weak_words_per_class = 24;
+  config.background_words = 120;
+  Rng rng(71);
+  const Dataset data = GenerateSyntheticText(config, rng);
+  std::vector<LfPtr> lfs;
+  for (int id = 0; id < std::min(16, data.vocabulary().size()); ++id) {
+    lfs.push_back(std::make_shared<KeywordLf>(
+        id, data.vocabulary().GetWord(id), id % config.num_classes));
+  }
+  const LabelMatrix keyword = ApplyLfs(lfs, data);
+  // Dense stump-style matrix: every LF fires on ~95% of rows.
+  LabelMatrix stump(3000);
+  for (int j = 0; j < 16; ++j) {
+    std::vector<int8_t> column(stump.num_rows(), kAbstain);
+    for (int8_t& v : column) {
+      if (rng.Bernoulli(0.95)) v = rng.Bernoulli(0.5 + 0.02 * j) ? 1 : 0;
+    }
+    stump.AddColumn(std::move(column));
+  }
+
+  const std::vector<int> picked = {15, 2, 9, 4, 0, 11, 6, 13, 1};
+  for (const LabelMatrix* source :
+       std::vector<const LabelMatrix*>{&keyword, &stump}) {
+    SetComputePoolThreads(1);
+    const std::string reference = MetalParams(LabelMatrix(*source));
+    const std::string reference_picked =
+        MetalParams(source->SelectColumns(picked));
+    for (const int threads : {1, 4}) {
+      SetComputePoolThreads(threads);
+      LabelMatrix session(source->num_rows());
+      session.AddColumn(source->column(0));
+      ASSERT_TRUE(session.EnsurePairMoments().ok());
+      for (int j = 1; j < source->num_cols(); ++j) {
+        session.AddColumn(source->column(j));
+      }
+      EXPECT_EQ(MetalParams(session), reference) << "threads " << threads;
+      EXPECT_EQ(MetalParams(session.SelectColumns(picked)), reference_picked)
+          << "threads " << threads;
+      EXPECT_EQ(MetalParams(LabelMatrix(*source)), reference)
+          << "threads " << threads;
+    }
+  }
+  SetComputePoolThreads(1);
 }
 
 TEST(DeterminismTest, PipelineBitwiseIdenticalAcrossSimdLevels) {

@@ -275,6 +275,52 @@ TEST(GenerativeModelTest, RejectsMulticlass) {
   EXPECT_FALSE(model.Fit(matrix, 3).ok());
 }
 
+// Fits a fresh model of `type` and returns its serialized parameters.
+std::string FitParams(LabelModelType type, const LabelMatrix& matrix) {
+  auto model = MakeLabelModel(type);
+  EXPECT_TRUE(model->Fit(matrix, 2).ok()) << model->name();
+  const Result<std::string> params = model->SerializeParams();
+  EXPECT_TRUE(params.ok()) << model->name();
+  return params.ok() ? *params : std::string();
+}
+
+// The pair-moment table may be built from scratch inside Fit, extended
+// column by column (the ActiveDp session path) or sliced by SelectColumns;
+// the fitted parameters must not depend on which.
+TEST(PairMomentParityTest, SessionTableFitsLikeFreshMatrix) {
+  const std::vector<double> accuracies = {0.9,  0.65, 0.8, 0.7,  0.85, 0.75,
+                                          0.6,  0.82, 0.68, 0.72, 0.88, 0.62};
+  // Dense stump-style LFs fire almost everywhere; sparse keyword-style ones
+  // fire on a few percent of rows.
+  for (const double coverage : {0.95, 0.05}) {
+    const PlantedProblem problem = MakePlanted(
+        4000, accuracies, std::vector<double>(accuracies.size(), coverage),
+        59);
+    const LabelMatrix& fresh = problem.matrix;
+    LabelMatrix session(fresh.num_rows());
+    session.AddColumn(fresh.column(0));
+    ASSERT_TRUE(session.EnsurePairMoments().ok());
+    for (int j = 1; j < fresh.num_cols(); ++j) {
+      session.AddColumn(fresh.column(j));
+    }
+    const std::vector<int> picked = {11, 3, 7, 0, 5, 9, 1, 8};
+    const LabelMatrix session_picked = session.SelectColumns(picked);
+    ASSERT_TRUE(session_picked.has_pair_moments());
+    for (const LabelModelType type :
+         {LabelModelType::kMetal, LabelModelType::kMetalCompletion}) {
+      // Fresh copies without a table: Fit builds one from the rows.
+      ASSERT_FALSE(fresh.has_pair_moments());
+      const std::string expected_all = FitParams(type, LabelMatrix(fresh));
+      const std::string expected_picked =
+          FitParams(type, fresh.SelectColumns(picked));
+      EXPECT_EQ(FitParams(type, session), expected_all)
+          << "coverage " << coverage;
+      EXPECT_EQ(FitParams(type, session_picked), expected_picked)
+          << "coverage " << coverage;
+    }
+  }
+}
+
 TEST(LabelModelFactoryTest, ParseNames) {
   EXPECT_EQ(ParseLabelModelType("mv"), LabelModelType::kMajorityVote);
   EXPECT_EQ(ParseLabelModelType("DS"), LabelModelType::kDawidSkene);

@@ -2,6 +2,8 @@
 
 #include "lf/label_function.h"
 #include "lf/lf_applier.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace activedp {
 namespace {
@@ -125,6 +127,143 @@ TEST(LabelMatrixTest, OverallCoverage) {
   matrix.AddColumn({1, -1, -1, -1});
   matrix.AddColumn({-1, 0, -1, -1});
   EXPECT_DOUBLE_EQ(matrix.OverallCoverage(), 0.5);
+}
+
+// Weak labels in {kAbstain, 0, 1}; each entry fires with `coverage`.
+LabelMatrix RandomLabelMatrix(int n, int m, double coverage, uint64_t seed) {
+  Rng rng(seed);
+  LabelMatrix matrix(n);
+  for (int j = 0; j < m; ++j) {
+    std::vector<int8_t> column(n, kAbstain);
+    for (int i = 0; i < n; ++i) {
+      if (rng.Bernoulli(coverage)) column[i] = rng.Bernoulli(0.5) ? 1 : 0;
+    }
+    matrix.AddColumn(std::move(column));
+  }
+  return matrix;
+}
+
+// The same columns in a fresh matrix, with its table built from scratch.
+LabelMatrix Rebuilt(const LabelMatrix& matrix) {
+  LabelMatrix out(matrix.num_rows());
+  for (int j = 0; j < matrix.num_cols(); ++j) out.AddColumn(matrix.column(j));
+  EXPECT_TRUE(out.EnsurePairMoments().ok());
+  return out;
+}
+
+void ExpectSamePairMoments(const LabelMatrix& actual,
+                           const LabelMatrix& expected) {
+  ASSERT_TRUE(actual.has_pair_moments());
+  ASSERT_TRUE(expected.has_pair_moments());
+  ASSERT_EQ(actual.num_cols(), expected.num_cols());
+  for (int j = 0; j < actual.num_cols(); ++j) {
+    for (int k = 0; k < actual.num_cols(); ++k) {
+      EXPECT_EQ(actual.PairSum(j, k), expected.PairSum(j, k)) << j << "," << k;
+      EXPECT_EQ(actual.PairCount(j, k), expected.PairCount(j, k))
+          << j << "," << k;
+    }
+  }
+}
+
+TEST(PairMomentsTest, MatchesEntrywiseDefinition) {
+  const LabelMatrix matrix = RandomLabelMatrix(300, 7, 0.6, 3);
+  ASSERT_TRUE(matrix.EnsurePairMoments().ok());
+  for (int j = 0; j < matrix.num_cols(); ++j) {
+    for (int k = 0; k < matrix.num_cols(); ++k) {
+      int sum = 0, count = 0;
+      for (int i = 0; i < matrix.num_rows(); ++i) {
+        const int a = matrix.At(i, j), b = matrix.At(i, k);
+        if (a == kAbstain || b == kAbstain) continue;
+        sum += (a == 1 ? 1 : -1) * (b == 1 ? 1 : -1);
+        ++count;
+      }
+      // The diagonal is the activation count (spin^2 = 1).
+      EXPECT_EQ(matrix.PairSum(j, k), sum) << j << "," << k;
+      EXPECT_EQ(matrix.PairCount(j, k), count) << j << "," << k;
+    }
+  }
+}
+
+TEST(PairMomentsTest, BuildIsIdenticalAcrossThreadCounts) {
+  // 5000 rows span several row chunks, so the pooled build really sums
+  // chunk-private tables.
+  const LabelMatrix source = RandomLabelMatrix(5000, 9, 0.4, 5);
+  SetComputePoolThreads(4);
+  const LabelMatrix pooled = Rebuilt(source);
+  SetComputePoolThreads(1);
+  ExpectSamePairMoments(pooled, Rebuilt(source));
+}
+
+TEST(PairMomentsTest, AddColumnExtendsBuiltTable) {
+  LabelMatrix matrix = RandomLabelMatrix(400, 3, 0.7, 7);
+  ASSERT_TRUE(matrix.EnsurePairMoments().ok());
+  const LabelMatrix extra = RandomLabelMatrix(400, 4, 0.3, 8);
+  for (int j = 0; j < extra.num_cols(); ++j) {
+    matrix.AddColumn(extra.column(j));
+    ExpectSamePairMoments(matrix, Rebuilt(matrix));
+  }
+  // A column that never fires extends the table with zeros.
+  matrix.AddColumn(std::vector<int8_t>(400, kAbstain));
+  EXPECT_EQ(matrix.PairCount(0, matrix.num_cols() - 1), 0);
+  ExpectSamePairMoments(matrix, Rebuilt(matrix));
+}
+
+TEST(PairMomentsTest, AddColumnWithoutTableBuildsNothing) {
+  LabelMatrix matrix = RandomLabelMatrix(50, 2, 0.5, 9);
+  matrix.AddColumn(std::vector<int8_t>(50, 1));
+  EXPECT_FALSE(matrix.has_pair_moments());
+}
+
+TEST(PairMomentsTest, SelectColumnsSlicesTable) {
+  const LabelMatrix matrix = RandomLabelMatrix(400, 6, 0.6, 11);
+  ASSERT_TRUE(matrix.EnsurePairMoments().ok());
+  // Non-ascending, repeated and subset column lists.
+  for (const std::vector<int>& cols : std::vector<std::vector<int>>{
+           {5, 2, 0}, {3, 1, 3, 4, 1}, {4}, {0, 1, 2, 3, 4, 5}}) {
+    const LabelMatrix sliced = matrix.SelectColumns(cols);
+    ExpectSamePairMoments(sliced, Rebuilt(sliced));
+  }
+  // A repeated column pairs with itself on every row it fires.
+  const LabelMatrix twice = matrix.SelectColumns({2, 2});
+  EXPECT_EQ(twice.PairSum(0, 1), twice.PairCount(0, 1));
+  EXPECT_EQ(twice.PairCount(0, 1), matrix.PairCount(2, 2));
+}
+
+TEST(PairMomentsTest, SelectColumnsWithoutTableCarriesNone) {
+  const LabelMatrix matrix = RandomLabelMatrix(40, 3, 0.5, 13);
+  EXPECT_FALSE(matrix.SelectColumns({2, 0}).has_pair_moments());
+}
+
+TEST(PairMomentsTest, SetDropsTable) {
+  LabelMatrix matrix = RandomLabelMatrix(200, 4, 0.6, 17);
+  ASSERT_TRUE(matrix.EnsurePairMoments().ok());
+  matrix.Set(0, 1, matrix.At(0, 1) == 1 ? 0 : 1);
+  EXPECT_FALSE(matrix.has_pair_moments());
+  // Later columns do not resurrect a stale table; the next build sees the
+  // overwritten entry.
+  matrix.AddColumn(std::vector<int8_t>(200, 0));
+  EXPECT_FALSE(matrix.has_pair_moments());
+  ASSERT_TRUE(matrix.EnsurePairMoments().ok());
+  ExpectSamePairMoments(matrix, Rebuilt(matrix));
+}
+
+TEST(PairMomentsTest, SelectRowsDoesNotCarryTable) {
+  const LabelMatrix matrix = RandomLabelMatrix(200, 4, 0.6, 19);
+  ASSERT_TRUE(matrix.EnsurePairMoments().ok());
+  LabelMatrix rows = matrix.SelectRows({5, 1, 150, 1});
+  EXPECT_FALSE(rows.has_pair_moments());
+  ASSERT_TRUE(rows.EnsurePairMoments().ok());
+  ExpectSamePairMoments(rows, Rebuilt(rows));
+}
+
+TEST(PairMomentsTest, BuildHonorsLimits) {
+  const LabelMatrix matrix = RandomLabelMatrix(100, 3, 0.5, 23);
+  RunLimits limits;
+  limits.deadline = Deadline::After(-1.0);
+  const Status status = matrix.EnsurePairMoments(limits);
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(matrix.has_pair_moments());
+  EXPECT_TRUE(matrix.EnsurePairMoments().ok());
 }
 
 TEST(ColumnStatsTest, CoverageAndAccuracy) {
