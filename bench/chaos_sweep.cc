@@ -16,59 +16,33 @@
 // kError on metal.fit is absorbed by a retry and the run's metrics are
 // bitwise-identical to the fault-free run.
 //
-// Registered as a ctest with LABELS chaos (excluded from tier1); also a
-// standalone binary:
+// The sweep itself, the fire accounting (an honored kind must fire, an
+// unhonored one must not) and the zero-incident-dumps check are
+// obs/chaos_matrix.h's. Writes a JSON accounting report
+// (<trace-dir>/BENCH_chaos_sweep.json) plus the full trace
+// (<trace-dir>/CHAOS_sweep.trace.*). Registered as a ctest with LABELS
+// chaos (excluded from tier1); also a standalone binary:
 //   ./build/bench/chaos_sweep --seeds=3 --steps=24 --budget-seconds=120
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/experiment.h"
 #include "core/run_checkpoint.h"
 #include "core/session_io.h"
 #include "data/dataset_zoo.h"
-#include "serve/chaos_scenario.h"
+#include "obs/chaos_matrix.h"
 #include "util/fault.h"
 #include "util/flags.h"
-#include "util/metrics.h"
 #include "util/retry.h"
 #include "util/string_util.h"
 #include "util/timer.h"
-#include "util/trace.h"
 
 namespace activedp {
 namespace {
-
-struct SiteInfo {
-  const char* site;
-  uint32_t honored;  // kinds this site can express (mirrors the call sites)
-};
-
-const SiteInfo kSites[] = {
-    {"glasso.solve", FaultKindBit(FaultKind::kError) |
-                         FaultKindBit(FaultKind::kNan) |
-                         FaultKindBit(FaultKind::kNoConverge)},
-    {"metal.fit",
-     FaultKindBit(FaultKind::kNan) | FaultKindBit(FaultKind::kError)},
-    {"lr.fit", FaultKindBit(FaultKind::kNan) |
-                   FaultKindBit(FaultKind::kNoConverge) |
-                   FaultKindBit(FaultKind::kError)},
-    {"oracle.create_lf", FaultKindBit(FaultKind::kEmptyResponse)},
-    {"session.save", FaultKindBit(FaultKind::kError) |
-                         FaultKindBit(FaultKind::kTruncateWrite)},
-    {"checkpoint.save", FaultKindBit(FaultKind::kError) |
-                            FaultKindBit(FaultKind::kTruncateWrite)},
-};
-
-const FaultKind kKinds[] = {FaultKind::kError, FaultKind::kNan,
-                            FaultKind::kNoConverge, FaultKind::kTruncateWrite,
-                            FaultKind::kEmptyResponse};
 
 struct SeedContext {
   std::unique_ptr<DataSplit> split;
@@ -98,26 +72,11 @@ ActiveDpOptions MakeOptions(uint64_t seed, const RunLimits& limits) {
   return options;
 }
 
-struct ScenarioOutcome {
-  bool passed = true;
-  std::string failure;
-  int fires = 0;
-  int retries = 0;
-  int degradations = 0;
-  double elapsed_seconds = 0.0;
-
-  void Fail(const std::string& why) {
-    passed = false;
-    if (!failure.empty()) failure += "; ";
-    failure += why;
-  }
-};
-
-ScenarioOutcome RunScenario(const SiteInfo& info, FaultKind kind,
-                            uint64_t seed, const SeedContext& ctx,
-                            const std::string& tmpdir, int steps,
-                            double budget_seconds, Watchdog& watchdog) {
-  ScenarioOutcome outcome;
+ChaosOutcome RunScenario(const SeedContext& ctx, const ChaosSite& site,
+                         FaultKind kind, uint64_t seed,
+                         const std::string& tmpdir, int steps,
+                         double budget_seconds, Watchdog& watchdog) {
+  ChaosOutcome outcome;
   Timer timer;
 
   auto cancel = std::make_shared<CancellationSource>();
@@ -126,7 +85,7 @@ ScenarioOutcome RunScenario(const SiteInfo& info, FaultKind kind,
   limits.cancel = cancel->token();
   watchdog.Watch(limits.deadline, cancel);
 
-  const std::string tag = std::string(info.site) + "-" +
+  const std::string tag = std::string(site.name) + "-" +
                           std::string(FaultKindToString(kind)) + "-" +
                           std::to_string(seed);
   const std::string checkpoint_path = tmpdir + "/chaos-" + tag + ".ckpt";
@@ -148,14 +107,13 @@ ScenarioOutcome RunScenario(const SiteInfo& info, FaultKind kind,
 
   RunResult faulted;
   bool session_corruption_detected = false;
-  int fires = 0;
   {
     FaultSpec spec;
     spec.kind = kind;
     spec.trigger_after = 0;  // fault from the first hit, every hit
     spec.max_fires = -1;
     spec.seed = seed;
-    FaultScope scope(info.site, spec);
+    FaultScope scope(site.name, spec);
 
     ActiveDp pipeline(ctx.context, options);
     faulted = RunProtocol(pipeline, ctx.context, protocol);
@@ -172,22 +130,12 @@ ScenarioOutcome RunScenario(const SiteInfo& info, FaultKind kind,
       }
     }
 
-    fires = scope.fire_count();  // read before the scope disarms the site
-    outcome.fires = fires;
-    outcome.retries = static_cast<int>(pipeline.retry_log().events().size() +
-                                       protocol_retries.events().size());
-    outcome.degradations =
-        static_cast<int>(pipeline.recovery().events().size() +
+    outcome.fires = scope.fire_count();  // read before the scope disarms
+    outcome.evidence =
+        static_cast<int>(pipeline.retry_log().events().size() +
+                         protocol_retries.events().size() +
+                         pipeline.recovery().events().size() +
                          protocol_recovery.events().size());
-
-    const bool honored = (FaultKindBit(kind) & info.honored) != 0;
-    if (!honored && fires > 0) {
-      outcome.Fail("unhonored kind fired " + std::to_string(fires) +
-                   " times");
-    }
-    if (honored && fires == 0) {
-      outcome.Fail("site was never exercised (0 fires)");
-    }
     if (!AllFiniteCurves(faulted)) {
       outcome.Fail("non-finite metric in faulted run");
     }
@@ -208,16 +156,12 @@ ScenarioOutcome RunScenario(const SiteInfo& info, FaultKind kind,
   }
 
   // Fault accounting: every fired fault must leave a trace somewhere — a
-  // retry, a degradation, a non-OK termination, or a detected-corrupt
-  // artifact (truncated writes report success by design; their evidence is
-  // the checksum/parse failure on reload).
-  int evidence = outcome.retries + outcome.degradations;
-  if (!faulted.termination.ok()) ++evidence;
-  if (session_corruption_detected) ++evidence;
-  if (checkpoint_corruption_detected) ++evidence;
-  if (fires > 0 && evidence == 0) {
-    outcome.Fail("injected faults left no retry/degradation/status trace");
-  }
+  // retry, a degradation (counted above), a non-OK termination, or a
+  // detected-corrupt artifact (truncated writes report success by design;
+  // their evidence is the checksum/parse failure on reload).
+  if (!faulted.termination.ok()) ++outcome.evidence;
+  if (session_corruption_detected) ++outcome.evidence;
+  if (checkpoint_corruption_detected) ++outcome.evidence;
   {
     RunLimits clean_limits;
     clean_limits.deadline = Deadline::After(budget_seconds);
@@ -237,11 +181,11 @@ ScenarioOutcome RunScenario(const SiteInfo& info, FaultKind kind,
     }
   }
 
-  outcome.elapsed_seconds = timer.ElapsedSeconds();
   // Both runs carry a `budget_seconds` deadline; everything else is cheap.
-  if (outcome.elapsed_seconds > 2.0 * budget_seconds + 5.0) {
+  const double elapsed_seconds = timer.ElapsedSeconds();
+  if (elapsed_seconds > 2.0 * budget_seconds + 5.0) {
     outcome.Fail("wall-clock exceeded bound (" +
-                 std::to_string(outcome.elapsed_seconds) + "s)");
+                 std::to_string(elapsed_seconds) + "s)");
   }
   std::filesystem::remove(checkpoint_path);
   std::filesystem::remove(session_path);
@@ -250,9 +194,9 @@ ScenarioOutcome RunScenario(const SiteInfo& info, FaultKind kind,
 
 /// The retry layer's acceptance check: one transient kError on metal.fit is
 /// absorbed (logged, recovered) and the run's metrics equal the fault-free
-/// run's bit for bit.
-bool TransientMetalFaultIsAbsorbed(const SeedContext& ctx, uint64_t seed,
-                                   int steps) {
+/// run's bit for bit. Returns why the check failed, or "" when it held.
+std::string TransientMetalFaultFailure(const SeedContext& ctx, uint64_t seed,
+                                       int steps) {
   RunLimits limits;  // unlimited: this check is about determinism, not time
   const ActiveDpOptions options = MakeOptions(seed, limits);
   ProtocolOptions protocol;
@@ -262,11 +206,8 @@ bool TransientMetalFaultIsAbsorbed(const SeedContext& ctx, uint64_t seed,
   ActiveDp clean(ctx.context, options);
   const RunResult baseline = RunProtocol(clean, ctx.context, protocol);
   if (!clean.retry_log().empty() || !clean.recovery().empty()) {
-    std::fprintf(stderr,
-                 "FAIL transient-absorb: fault-free run was not clean\n%s%s",
-                 clean.retry_log().Summary().c_str(),
-                 clean.recovery().Summary().c_str());
-    return false;
+    return "fault-free run was not clean\n" + clean.retry_log().Summary() +
+           clean.recovery().Summary();
   }
 
   FaultSpec spec;
@@ -277,24 +218,16 @@ bool TransientMetalFaultIsAbsorbed(const SeedContext& ctx, uint64_t seed,
   const RunResult with_fault = RunProtocol(faulted, ctx.context, protocol);
 
   if (scope.fire_count() != 1) {
-    std::fprintf(stderr, "FAIL transient-absorb: expected 1 fire, got %d\n",
-                 scope.fire_count());
-    return false;
+    return "expected 1 fire, got " + std::to_string(scope.fire_count());
   }
   if (faulted.retry_log().count("label_model.fit") < 1 ||
       faulted.retry_log().recovered_count("label_model.fit") < 1) {
-    std::fprintf(stderr,
-                 "FAIL transient-absorb: retry log missing the recovered "
-                 "label_model.fit retry\n%s",
-                 faulted.retry_log().Summary().c_str());
-    return false;
+    return "retry log missing the recovered label_model.fit retry\n" +
+           faulted.retry_log().Summary();
   }
   if (!faulted.recovery().empty()) {
-    std::fprintf(stderr,
-                 "FAIL transient-absorb: retry should have prevented any "
-                 "degradation\n%s",
-                 faulted.recovery().Summary().c_str());
-    return false;
+    return "retry should have prevented any degradation\n" +
+           faulted.recovery().Summary();
   }
   const bool identical =
       baseline.budgets == with_fault.budgets &&
@@ -303,14 +236,11 @@ bool TransientMetalFaultIsAbsorbed(const SeedContext& ctx, uint64_t seed,
       baseline.label_coverage == with_fault.label_coverage &&
       baseline.average_test_accuracy == with_fault.average_test_accuracy;
   if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL transient-absorb: metrics differ from the fault-free "
-                 "run (avg %.17g vs %.17g)\n",
-                 baseline.average_test_accuracy,
-                 with_fault.average_test_accuracy);
-    return false;
+    return "metrics differ from the fault-free run (avg " +
+           FormatExactDouble(baseline.average_test_accuracy) + " vs " +
+           FormatExactDouble(with_fault.average_test_accuracy) + ")";
   }
-  return true;
+  return "";
 }
 
 int Main(int argc, char** argv) {
@@ -322,10 +252,8 @@ int Main(int argc, char** argv) {
   flags.AddFlag("budget-seconds", "120",
                 "per-run deadline (watchdog-enforced)");
   flags.AddFlag("trace-dir", "bench-archive",
-                "directory the CHAOS_sweep.trace.* exports land in");
-  flags.AddFlag("serve-matrix", "1",
-                "also sweep the serving-side fault matrix (serve/"
-                "chaos_scenario.h) into the same accounting report");
+                "directory the CHAOS_sweep.trace.* exports and the "
+                "BENCH_chaos_sweep.json report land in");
   const Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
@@ -335,9 +263,9 @@ int Main(int argc, char** argv) {
 
   const std::string dataset = flags.GetString("dataset");
   const double scale = flags.GetDouble("scale");
-  const int num_seeds = flags.GetInt("seeds");
   const int steps = flags.GetInt("steps");
   const double budget_seconds = flags.GetDouble("budget-seconds");
+  const std::string trace_dir = flags.GetString("trace-dir");
 
   const std::string tmpdir =
       (std::filesystem::temp_directory_path() / "activedp-chaos").string();
@@ -345,103 +273,71 @@ int Main(int argc, char** argv) {
 
   // The sweep runs traced end to end: the exported timeline carries every
   // fault fire, retry and degradation the scenarios provoke, which is the
-  // event-folding contract's best stress test.
-  MetricsRegistry::Global().ResetAll();
-  Tracer::Global().Enable();
+  // event-folding contract's best stress test. No pipeline site triggers
+  // an incident, so every cell must leave zero dumps.
+  ChaosMatrix matrix({
+      .benchmark = "chaos_sweep",
+      .sites =
+          {
+              {"glasso.solve", FaultKindBit(FaultKind::kError) |
+                                   FaultKindBit(FaultKind::kNan) |
+                                   FaultKindBit(FaultKind::kNoConverge)},
+              {"metal.fit", FaultKindBit(FaultKind::kNan) |
+                                FaultKindBit(FaultKind::kError)},
+              {"lr.fit", FaultKindBit(FaultKind::kNan) |
+                             FaultKindBit(FaultKind::kNoConverge) |
+                             FaultKindBit(FaultKind::kError)},
+              {"oracle.create_lf", FaultKindBit(FaultKind::kEmptyResponse)},
+              {"session.save", FaultKindBit(FaultKind::kError) |
+                                   FaultKindBit(FaultKind::kTruncateWrite)},
+              {"checkpoint.save", FaultKindBit(FaultKind::kError) |
+                                      FaultKindBit(FaultKind::kTruncateWrite)},
+          },
+      .kinds = {FaultKind::kError, FaultKind::kNan, FaultKind::kNoConverge,
+                FaultKind::kTruncateWrite, FaultKind::kEmptyResponse},
+      .incident_root = trace_dir + "/incidents-chaos-sweep",
+      .trace_dir = trace_dir,
+      .trace_name = "CHAOS_sweep",
+  });
 
   Watchdog watchdog;
-  int scenarios = 0;
-  int failures = 0;
-  Timer total;
-  for (int s = 0; s < num_seeds; ++s) {
-    const uint64_t seed = 1 + 1000003ULL * s;
-    Result<DataSplit> split = MakeZooDataset(dataset, scale, seed);
-    if (!split.ok()) {
-      std::fprintf(stderr, "dataset %s failed: %s\n", dataset.c_str(),
-                   split.status().ToString().c_str());
-      return 1;
-    }
-    SeedContext ctx;
-    ctx.split = std::make_unique<DataSplit>(std::move(*split));
-    ctx.context = FrameworkContext::Build(*ctx.split);
-
-    for (const SiteInfo& info : kSites) {
-      for (const FaultKind kind : kKinds) {
-        ++scenarios;
-        const ScenarioOutcome outcome = RunScenario(
-            info, kind, seed, ctx, tmpdir, steps, budget_seconds, watchdog);
-        std::printf("%-6s %-18s %-14s fires=%-4d retries=%-4d degrades=%-4d "
-                    "%6.2fs\n",
-                    outcome.passed ? "ok" : "FAIL", info.site,
-                    std::string(FaultKindToString(kind)).c_str(),
-                    outcome.fires, outcome.retries, outcome.degradations,
-                    outcome.elapsed_seconds);
-        if (!outcome.passed) {
-          ++failures;
-          std::fprintf(stderr, "  seed %llu: %s\n",
-                       static_cast<unsigned long long>(seed),
-                       outcome.failure.c_str());
+  int transient_absorbed = 0;
+  const Status swept = matrix.Run<SeedContext>(
+      flags.GetInt("seeds"), /*base_seed=*/1,
+      [&](uint64_t seed) -> Result<SeedContext> {
+        ASSIGN_OR_RETURN(DataSplit split,
+                         MakeZooDataset(dataset, scale, seed));
+        SeedContext ctx;
+        ctx.split = std::make_unique<DataSplit>(std::move(split));
+        ctx.context = FrameworkContext::Build(*ctx.split);
+        return ctx;
+      },
+      [&](const SeedContext& ctx, const ChaosSite& site, FaultKind kind,
+          uint64_t seed) {
+        return RunScenario(ctx, site, kind, seed, tmpdir, steps,
+                           budget_seconds, watchdog);
+      },
+      [&](const SeedContext& ctx, int, uint64_t seed) {
+        const std::string failure =
+            TransientMetalFaultFailure(ctx, seed, steps);
+        if (!failure.empty()) {
+          matrix.Fail("transient-absorb (seed " + std::to_string(seed) +
+                      "): " + failure);
+          return;
         }
-      }
-    }
-
-    if (!TransientMetalFaultIsAbsorbed(ctx, seed, steps)) {
-      ++failures;
-    } else {
-      std::printf("ok     transient metal.fit kError absorbed by retry "
-                  "(seed %llu)\n",
-                  static_cast<unsigned long long>(seed));
-    }
+        ++transient_absorbed;
+        std::printf("ok     transient metal.fit kError absorbed by retry "
+                    "(seed %llu)\n",
+                    static_cast<unsigned long long>(seed));
+      });
+  if (!swept.ok()) {
+    std::fprintf(stderr, "%s\n", swept.ToString().c_str());
+    return 1;
   }
 
-  // Serving-side matrix (ServeGuard, serve/chaos_scenario.h): the serve.*
-  // fault sites swept into the same accounting report as the offline ones,
-  // so one run answers "is every armed site in the system covered". One
-  // fixture (training is the expensive part); the scenarios themselves are
-  // cheap. bench/serve_chaos is the dedicated multi-seed gate.
-  if (flags.GetInt("serve-matrix") != 0) {
-    const uint64_t serve_seed = 7;
-    const Result<ServeChaosFixture> fixture = BuildServeChaosFixture(
-        tmpdir, dataset, std::min(scale, 0.1), serve_seed, /*steps_a=*/12,
-        /*steps_b=*/6, /*trace_size=*/48);
-    if (!fixture.ok()) {
-      ++failures;
-      std::fprintf(stderr, "serve fixture build failed: %s\n",
-                   fixture.status().ToString().c_str());
-    } else {
-      for (const ServeChaosSiteInfo& info : ServeChaosSites()) {
-        for (const FaultKind kind : ServeChaosKinds()) {
-          ++scenarios;
-          const ServeChaosOutcome outcome =
-              RunServeChaosScenario(*fixture, info.site, kind, serve_seed);
-          std::printf("%-6s %-18s %-14s fires=%-4d evidence=%-3d "
-                      "digest_mismatches=%-3d %6.2fs\n",
-                      outcome.passed ? "ok" : "FAIL", info.site,
-                      std::string(FaultKindToString(kind)).c_str(),
-                      outcome.fires, outcome.evidence,
-                      outcome.digest_mismatches, outcome.elapsed_seconds);
-          if (!outcome.passed) {
-            ++failures;
-            std::fprintf(stderr, "  %s\n", outcome.failure.c_str());
-          }
-        }
-      }
-    }
-  }
-
-  const RunTrace trace = Tracer::Global().Collect();
-  Tracer::Global().Disable();
-  std::printf("\n%s", trace.Summary().ToString().c_str());
-  const Status trace_written =
-      WriteRunTrace(trace, flags.GetString("trace-dir"), "CHAOS_sweep");
-  if (!trace_written.ok()) {
-    std::fprintf(stderr, "trace export failed: %s\n",
-                 trace_written.ToString().c_str());
-  }
-
-  std::printf("\n%d scenarios, %d failures, %.1fs total\n", scenarios,
-              failures, total.ElapsedSeconds());
-  return failures == 0 ? 0 : 1;
+  (void)matrix.CollectTrace();
+  return matrix.Finish(trace_dir + "/BENCH_chaos_sweep.json",
+                       {{"transient_absorbed", transient_absorbed}});
 }
 
 }  // namespace

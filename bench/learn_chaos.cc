@@ -12,11 +12,15 @@
 //      bitwise identical to the offline predictions of the registry's
 //      active snapshot reloaded from its registered path;
 //   4. the quarantines are visible in the RunTrace timeline (the run fails
-//      if no retrain.quarantine fault instant was recorded).
+//      if no retrain.quarantine fault instant was recorded), and every
+//      quarantining cell leaves exactly one verified "retrain.quarantine"
+//      incident dump whose timeline shows the trigger.
 //
-// Writes a JSON accounting report (BENCH_learn_chaos.json) plus the full
-// trace (BENCH_learn_chaos.trace.*). Registered as a ctest with LABELS
-// "chaos;online"; also a standalone binary:
+// The sweep itself, the fire accounting and the incident verification are
+// obs/chaos_matrix.h's. Writes a JSON accounting report
+// (BENCH_learn_chaos.json) plus the full trace (BENCH_learn_chaos.trace.*).
+// Registered as a ctest with LABELS "chaos;online"; also a standalone
+// binary:
 //   ./build/bench/learn_chaos --seeds=2 --steps=6 --trace=48
 
 #include <cstdio>
@@ -24,122 +28,26 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.h"
+#include "obs/chaos_matrix.h"
 #include "online/learn_scenario.h"
-#include "util/atomic_file.h"
 #include "util/fault.h"
 #include "util/flags.h"
 #include "util/metrics.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace activedp {
 namespace {
 
-struct ScenarioRow {
-  std::string site;
-  std::string kind;
-  uint64_t seed;
-  int incidents = 0;
-  LearnChaosOutcome outcome;
-};
-
-/// Verifies every dump one scenario produced and tallies reasons. Learning
-/// scenarios may legitimately dump both "retrain.quarantine" and
-/// "rollout.rollback" (a failed cycle can do both), so the per-scenario
-/// contract is "every dump is well-formed", with the >= 1 quarantine
-/// assertion made run-wide. Returns gate failures.
-int CheckScenarioIncidents(const std::string& incident_dir, int* dump_count,
-                           int* quarantine_dumps) {
-  int failures = 0;
-  const std::vector<std::string> dumps = ListIncidentDumps(incident_dir);
-  *dump_count = static_cast<int>(dumps.size());
-  for (const std::string& dump : dumps) {
-    const Status verified = VerifyIncidentDump(dump);
-    if (!verified.ok()) {
-      ++failures;
-      std::fprintf(stderr, "FAIL: incident dump %s did not verify: %s\n",
-                   dump.c_str(), verified.ToString().c_str());
-      continue;
-    }
-    const Result<IncidentManifest> manifest = ReadIncidentManifest(dump);
-    if (!manifest.ok()) {
-      ++failures;
-      std::fprintf(stderr, "FAIL: incident manifest unreadable in %s\n",
-                   dump.c_str());
-      continue;
-    }
-    if (manifest->reason == "retrain.quarantine") {
-      // The quarantine instant must be inside the dumped timeline.
-      const Result<std::string> timeline =
-          ReadFileVerifyingChecksum(dump + "/timeline.jsonl");
-      if (!timeline.ok() ||
-          timeline->find("retrain.quarantine") == std::string::npos) {
-        ++failures;
-        std::fprintf(stderr,
-                     "FAIL: quarantine timeline in %s lacks the triggering "
-                     "instant\n",
-                     dump.c_str());
-      } else {
-        ++*quarantine_dumps;
-      }
-    }
+/// Every honored fault past the append quarantines the cycle's segments,
+/// which dumps one "retrain.quarantine" incident. Faulted appends never
+/// reach a cycle with data: a failed append leaves nothing to retrain on,
+/// and a torn one poisons the log, so that cycle refuses to run.
+std::vector<std::string> ExpectedIncidents(const ChaosSite& site,
+                                           FaultKind kind) {
+  if (!site.Honors(kind) || std::string(site.name) == "eventlog.append") {
+    return {};
   }
-  return failures;
-}
-
-void WriteReport(const std::string& path, const std::vector<ScenarioRow>& rows,
-                 int failures, int quarantine_instants, int incident_dumps,
-                 int quarantine_dumps, double total_seconds) {
-  std::string out;
-  out += "{\n";
-  out += "  \"benchmark\": \"learn_chaos\",\n";
-  out += "  \"scenarios\": " + std::to_string(rows.size()) + ",\n";
-  out += "  \"failures\": " + std::to_string(failures) + ",\n";
-  out += "  \"quarantine_instants\": " + std::to_string(quarantine_instants) +
-         ",\n";
-  out += "  \"incident_dumps\": " + std::to_string(incident_dumps) + ",\n";
-  out += "  \"quarantine_dumps\": " + std::to_string(quarantine_dumps) +
-         ",\n";
-  out += "  \"retrain_cycles\": " +
-         std::to_string(
-             MetricsRegistry::Global().counter_value("retrain.cycles")) +
-         ",\n";
-  out += "  \"retrain_published\": " +
-         std::to_string(
-             MetricsRegistry::Global().counter_value("retrain.published")) +
-         ",\n";
-  out += "  \"quarantined_segments\": " +
-         std::to_string(MetricsRegistry::Global().counter_value(
-             "retrain.quarantined_segments")) +
-         ",\n";
-  out += "  \"feedback_events\": " +
-         std::to_string(
-             MetricsRegistry::Global().counter_value("serve.feedback")) +
-         ",\n";
-  out += "  \"total_seconds\": " + std::to_string(total_seconds) + ",\n";
-  out += "  \"matrix\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScenarioRow& row = rows[i];
-    out += "    {\"site\": \"" + row.site + "\", \"kind\": \"" + row.kind +
-           "\", \"seed\": " + std::to_string(row.seed) +
-           ", \"passed\": " + (row.outcome.passed ? "true" : "false") +
-           ", \"fires\": " + std::to_string(row.outcome.fires) +
-           ", \"evidence\": " + std::to_string(row.outcome.evidence) +
-           ", \"incidents\": " + std::to_string(row.incidents) +
-           ", \"recovered_publish\": " +
-           (row.outcome.recovered_publish ? "true" : "false") +
-           ", \"digest_mismatches\": " +
-           std::to_string(row.outcome.digest_mismatches) + "}";
-    out += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n";
-  out += "}\n";
-  const Status written = AtomicWriteFile(path, out);
-  if (!written.ok()) {
-    std::fprintf(stderr, "report write failed: %s\n",
-                 written.ToString().c_str());
-  }
+  return {"retrain.quarantine"};
 }
 
 int Main(int argc, char** argv) {
@@ -167,72 +75,47 @@ int Main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "activedp-learn-chaos")
           .string();
   std::filesystem::create_directories(tmpdir);
-
   std::string incident_root = flags.GetString("incident-dir");
   if (incident_root.empty()) {
     incident_root = flags.GetString("trace-dir") + "/incidents-learn-chaos";
   }
-  std::filesystem::remove_all(incident_root);
 
-  MetricsRegistry::Global().ResetAll();
-  Tracer::Global().Enable();
-
-  std::vector<ScenarioRow> rows;
-  int failures = 0;
-  int incident_dumps = 0;
-  int quarantine_dumps = 0;
-  Timer total;
-  const int num_seeds = flags.GetInt("seeds");
-  for (int s = 0; s < num_seeds; ++s) {
-    const uint64_t seed = 7 + 1000003ULL * s;
-    const Result<LearnChaosFixture> fixture = BuildLearnChaosFixture(
-        tmpdir, flags.GetString("dataset"), flags.GetDouble("scale"), seed,
-        flags.GetInt("steps"), flags.GetInt("trace"));
-    if (!fixture.ok()) {
-      std::fprintf(stderr, "fixture build failed (seed %llu): %s\n",
-                   static_cast<unsigned long long>(seed),
-                   fixture.status().ToString().c_str());
-      return 1;
-    }
-    for (const LearnChaosSiteInfo& info : LearnChaosSites()) {
-      for (const FaultKind kind : LearnChaosKinds()) {
-        ScenarioRow row;
-        row.site = info.site;
-        row.kind = std::string(FaultKindToString(kind));
-        row.seed = seed;
-        const std::string cell_dir = incident_root + "/" + row.site + "-" +
-                                     row.kind + "-seed" + std::to_string(s);
-        FlightRecorderOptions recorder_options;
-        recorder_options.incident_dir = cell_dir;
-        FlightRecorder::Global().Enable(recorder_options);
-        row.outcome = RunLearnChaosScenario(*fixture, info.site, kind, seed);
-        FlightRecorder::Global().Disable();
-        failures += CheckScenarioIncidents(cell_dir, &row.incidents,
-                                           &quarantine_dumps);
-        incident_dumps += row.incidents;
-        std::printf("%-6s %-18s %-14s fires=%-4d evidence=%-3d incidents=%d "
-                    "recovered=%d digest_mismatches=%-3d %6.2fs\n",
-                    row.outcome.passed ? "ok" : "FAIL", row.site.c_str(),
-                    row.kind.c_str(), row.outcome.fires, row.outcome.evidence,
-                    row.incidents, row.outcome.recovered_publish ? 1 : 0,
-                    row.outcome.digest_mismatches,
-                    row.outcome.elapsed_seconds);
-        if (!row.outcome.passed) {
-          ++failures;
-          std::fprintf(stderr, "  seed %llu: %s\n",
-                       static_cast<unsigned long long>(seed),
-                       row.outcome.failure.c_str());
-        }
-        rows.push_back(std::move(row));
-      }
-    }
+  ChaosMatrix matrix({
+      .benchmark = "learn_chaos",
+      .sites =
+          {
+              {"eventlog.append", FaultKindBit(FaultKind::kError) |
+                                      FaultKindBit(FaultKind::kTruncateWrite)},
+              {"eventlog.replay", FaultKindBit(FaultKind::kError) |
+                                      FaultKindBit(FaultKind::kCorrupt)},
+              {"retrain.fit", FaultKindBit(FaultKind::kError) |
+                                  FaultKindBit(FaultKind::kNan)},
+              {"retrain.validate", FaultKindBit(FaultKind::kError)},
+              {"publish.rollout", FaultKindBit(FaultKind::kError)},
+          },
+      .kinds = {FaultKind::kError, FaultKind::kNan, FaultKind::kCorrupt,
+                FaultKind::kTruncateWrite},
+      .incident_root = incident_root,
+      .expected_incidents = ExpectedIncidents,
+      .trace_dir = flags.GetString("trace-dir"),
+      .trace_name = "BENCH_learn_chaos",
+  });
+  const Status swept = matrix.Run<LearnChaosFixture>(
+      flags.GetInt("seeds"), /*base_seed=*/7,
+      [&](uint64_t seed) {
+        return BuildLearnChaosFixture(
+            tmpdir, flags.GetString("dataset"), flags.GetDouble("scale"), seed,
+            flags.GetInt("steps"), flags.GetInt("trace"));
+      },
+      RunLearnChaosScenario);
+  if (!swept.ok()) {
+    std::fprintf(stderr, "%s\n", swept.ToString().c_str());
+    return 1;
   }
-
-  const RunTrace trace = Tracer::Global().Collect();
-  Tracer::Global().Disable();
 
   // The acceptance check the harness exists for: quarantines must be
   // *visible in the timeline*, not just implied by return values.
+  const RunTrace trace = matrix.CollectTrace();
   int quarantine_instants = 0;
   for (const TraceEventRecord& event : trace.events) {
     if (event.category == "fault" && event.name == "retrain.quarantine") {
@@ -240,34 +123,19 @@ int Main(int argc, char** argv) {
     }
   }
   if (quarantine_instants == 0) {
-    ++failures;
-    std::fprintf(
-        stderr,
-        "FAIL: no retrain.quarantine instant in the RunTrace timeline\n");
-  }
-  // Incident half of the same contract: at least one quarantine produced a
-  // verified flight-recorder dump whose timeline shows the trigger.
-  if (quarantine_dumps == 0) {
-    ++failures;
-    std::fprintf(stderr,
-                 "FAIL: no verified retrain.quarantine incident dump\n");
+    matrix.Fail("no retrain.quarantine instant in the RunTrace timeline");
   }
 
-  std::printf("\n%s", trace.Summary().ToString().c_str());
-  const Status trace_written = WriteRunTrace(
-      trace, flags.GetString("trace-dir"), "BENCH_learn_chaos");
-  if (!trace_written.ok()) {
-    std::fprintf(stderr, "trace export failed: %s\n",
-                 trace_written.ToString().c_str());
-  }
-  WriteReport(flags.GetString("out"), rows, failures, quarantine_instants,
-              incident_dumps, quarantine_dumps, total.ElapsedSeconds());
-
-  std::printf("\n%zu scenarios, %d failures, %d quarantine instants, "
-              "%d incident dumps (%d quarantine), %.1fs\n",
-              rows.size(), failures, quarantine_instants, incident_dumps,
-              quarantine_dumps, total.ElapsedSeconds());
-  return failures == 0 ? 0 : 1;
+  const MetricsRegistry& metrics = MetricsRegistry::Global();
+  return matrix.Finish(
+      flags.GetString("out"),
+      {{"quarantine_instants", quarantine_instants},
+       {"quarantine_dumps", matrix.dumps_with_reason("retrain.quarantine")},
+       {"retrain_cycles", metrics.counter_value("retrain.cycles")},
+       {"retrain_published", metrics.counter_value("retrain.published")},
+       {"quarantined_segments",
+        metrics.counter_value("retrain.quarantined_segments")},
+       {"feedback_events", metrics.counter_value("serve.feedback")}});
 }
 
 }  // namespace

@@ -177,8 +177,8 @@ LoadResult RunClosedLoop(PredictionService& service, const Dataset& train,
       for (int k = 0; k < share; ++k) {
         const int row = (c + k * clients) % train.size();
         Timer timer;
-        const Result<ServedPrediction> served =
-            service.Predict(train.example(row));
+        const ServeReply served =
+            service.Predict({.example = train.example(row)});
         const double elapsed_ms = timer.ElapsedMillis();
         histogram.Observe(elapsed_ms);
         latencies[c].push_back(elapsed_ms);
@@ -210,7 +210,7 @@ LoadResult RunOpenLoop(PredictionService& service, const Dataset& train,
   using Clock = std::chrono::steady_clock;
   LoadResult result;
   result.requests = requests;
-  std::vector<std::future<Result<ServedPrediction>>> futures(requests);
+  std::vector<std::future<ServeReply>> futures(requests);
   std::vector<Clock::time_point> sent(requests);
   std::vector<double> latencies(requests, 0.0);
   std::atomic<int> issued{0};
@@ -227,7 +227,7 @@ LoadResult RunOpenLoop(PredictionService& service, const Dataset& train,
       while (issued.load(std::memory_order_acquire) <= i) {
         std::this_thread::yield();
       }
-      const Result<ServedPrediction> served = futures[i].get();
+      const ServeReply served = futures[i].get();
       latencies[i] = std::chrono::duration<double, std::milli>(Clock::now() -
                                                               sent[i])
                          .count();
@@ -238,7 +238,8 @@ LoadResult RunOpenLoop(PredictionService& service, const Dataset& train,
   for (int i = 0; i < requests; ++i) {
     std::this_thread::sleep_until(start + i * interval);
     sent[i] = Clock::now();
-    futures[i] = service.PredictAsync(train.example(i % train.size()));
+    futures[i] =
+        service.PredictAsync({.example = train.example(i % train.size())});
     issued.store(i + 1, std::memory_order_release);
     if (slo != nullptr) slo->MaybeTick(0.25);
   }
@@ -261,20 +262,20 @@ uint64_t ServedDigest(const std::shared_ptr<const ModelSnapshot>& snapshot,
   options.max_queue_depth = n + 1;
   PredictionService service(options);
   service.LoadSnapshot(snapshot);
-  std::vector<std::future<Result<ServedPrediction>>> futures;
+  std::vector<std::future<ServeReply>> futures;
   futures.reserve(n);
   for (int i = 0; i < n; ++i) {
-    futures.push_back(service.PredictAsync(train.example(i)));
+    futures.push_back(service.PredictAsync({.example = train.example(i)}));
   }
   BitHasher hasher;
   for (int i = 0; i < n; ++i) {
-    const Result<ServedPrediction> served = futures[i].get();
+    const ServeReply served = futures[i].get();
     if (!served.ok()) {
       LOG(Error) << "serve failed at row " << i << ": "
-                 << served.status().ToString();
+                 << served.status.ToString();
       return 0;
     }
-    hasher.Add(*served);
+    hasher.Add(served.prediction);
   }
   return hasher.digest();
 }
@@ -300,7 +301,7 @@ int RunHotSwapGate(const std::shared_ptr<const ModelSnapshot>& a,
       for (int k = 0; k < per_client; ++k) {
         const int row = (c * per_client + k) % train.size();
         const Result<ServedPrediction> served =
-            service.Predict(train.example(row));
+            service.Predict({.example = train.example(row)}).ToResult();
         if (!served.ok()) {
           mismatches.fetch_add(1);
           continue;

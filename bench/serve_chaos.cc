@@ -11,263 +11,114 @@
 //   3. registry writes are all-or-nothing: failed or torn manifest saves
 //      never leave partial state, and a torn file is detected on reopen;
 //   4. the auto-rollback is visible in the RunTrace timeline (the run fails
-//      if no serve.registry/serve.rollout rollback instant was recorded).
+//      if no serve.registry/serve.rollout rollback instant was recorded);
+//   5. exactly one verified incident dump per breaker trip
+//      (serve.dispatch × error) and canary rollback (rollout.canary ×
+//      error), none anywhere else; two drills outside the matrix must each
+//      dump one shed-burst / deadline-storm incident.
 //
-// Writes a JSON accounting report (BENCH_serve_chaos.json) plus the full
-// trace (BENCH_serve_chaos.trace.*). Registered as a ctest with LABELS
-// chaos; also a standalone binary:
+// The sweep itself, the fire accounting and the incident verification are
+// obs/chaos_matrix.h's. Writes a JSON accounting report
+// (BENCH_serve_chaos.json) plus the full trace (BENCH_serve_chaos.trace.*).
+// Registered as a ctest with LABELS chaos; also a standalone binary:
 //   ./build/bench/serve_chaos --seeds=2 --steps=12 --trace=48
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <future>
 #include <string>
 #include <vector>
 
+#include "obs/chaos_matrix.h"
 #include "obs/flight_recorder.h"
 #include "serve/chaos_scenario.h"
 #include "serve/prediction_service.h"
-#include "util/atomic_file.h"
 #include "util/deadline.h"
 #include "util/fault.h"
 #include "util/flags.h"
 #include "util/metrics.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace activedp {
 namespace {
 
-struct ScenarioRow {
-  std::string site;
-  std::string kind;
-  uint64_t seed;
-  int incidents = 0;
-  ServeChaosOutcome outcome;
-};
-
-/// The incident reason one matrix cell must dump exactly once, or "" when
-/// the cell must not dump at all. Only the two auto-recovery drills leave
-/// an incident behind; every other cell is a clean rejection.
-std::string ExpectedIncidentReason(const std::string& site,
-                                   const std::string& kind) {
-  if (site == "serve.dispatch" && kind == "error") return "serve.breaker_trip";
-  if (site == "rollout.canary" && kind == "error") return "rollout.rollback";
-  return "";
-}
-
-/// The instant name the dumped timeline must contain for each reason — the
-/// acceptance criterion that the trigger is *visible*, not just implied.
-std::string TimelineMarker(const std::string& reason) {
-  if (reason == "serve.breaker_trip") return "circuit_breaker";
-  if (reason == "rollout.rollback") return "rollback";
-  if (reason == "serve.shed_burst") return "shed_burst";
-  if (reason == "serve.deadline_storm") return "deadline_storm";
-  return reason;
-}
-
-/// Verifies one scenario's incident output: exactly one well-formed,
-/// checksummed dump with `expected_reason` (whose timeline contains the
-/// triggering instant), or exactly zero dumps when no reason is expected.
-/// Returns the number of gate failures.
-int CheckScenarioIncidents(const std::string& incident_dir,
-                           const std::string& expected_reason,
-                           int* dump_count) {
-  const std::vector<std::string> dumps = ListIncidentDumps(incident_dir);
-  *dump_count = static_cast<int>(dumps.size());
-  if (expected_reason.empty()) {
-    if (dumps.empty()) return 0;
-    std::fprintf(stderr, "FAIL: %zu unexpected incident dump(s) under %s\n",
-                 dumps.size(), incident_dir.c_str());
-    return 1;
-  }
-  if (dumps.size() != 1) {
-    std::fprintf(stderr,
-                 "FAIL: expected exactly 1 \"%s\" dump under %s, found %zu\n",
-                 expected_reason.c_str(), incident_dir.c_str(), dumps.size());
-    return 1;
-  }
-  int failures = 0;
-  const std::string& dump = dumps[0];
-  const Status verified = VerifyIncidentDump(dump);
-  if (!verified.ok()) {
-    ++failures;
-    std::fprintf(stderr, "FAIL: incident dump %s did not verify: %s\n",
-                 dump.c_str(), verified.ToString().c_str());
-  }
-  const Result<IncidentManifest> manifest = ReadIncidentManifest(dump);
-  if (!manifest.ok() || manifest->reason != expected_reason) {
-    ++failures;
-    std::fprintf(stderr,
-                 "FAIL: incident dump %s has reason \"%s\", want \"%s\"\n",
-                 dump.c_str(),
-                 manifest.ok() ? manifest->reason.c_str() : "<unreadable>",
-                 expected_reason.c_str());
-  }
-  const Result<std::string> timeline =
-      ReadFileVerifyingChecksum(dump + "/timeline.jsonl");
-  const std::string marker = TimelineMarker(expected_reason);
-  if (!timeline.ok() || timeline->find(marker) == std::string::npos) {
-    ++failures;
-    std::fprintf(stderr,
-                 "FAIL: timeline in %s lacks the triggering instant \"%s\"\n",
-                 dump.c_str(), marker.c_str());
-  }
-  return failures;
+/// The incident a matrix cell must dump. Only the two auto-recovery drills
+/// leave one behind; every other cell is a clean rejection.
+std::vector<std::string> ExpectedIncidents(const ChaosSite& site,
+                                           FaultKind kind) {
+  const std::string name = site.name;
+  if (kind != FaultKind::kError) return {};
+  if (name == "serve.dispatch") return {"serve.breaker_trip"};
+  if (name == "rollout.canary") return {"rollout.rollback"};
+  return {};
 }
 
 /// Dedicated shed-burst drill: a latency spike on every batch warms the
 /// EWMA to ~5ms/request, so a flood of async requests is shed at admission;
 /// `shed_burst_threshold` sheds inside the window must fire exactly one
 /// "serve.shed_burst" incident.
-ScenarioRow RunShedBurstDrill(const ServeChaosFixture& fixture,
-                              const std::string& incident_dir, uint64_t seed,
-                              int* gate_failures) {
-  ScenarioRow row;
-  row.site = "drill.shed_burst";
-  row.kind = "overload";
-  row.seed = seed;
-  Timer timer;
+ChaosOutcome ShedBurstDrill(const ServeChaosFixture& fixture, uint64_t seed) {
+  ChaosOutcome outcome;
+  PredictionServiceOptions options;
+  options.max_batch_size = 4;
+  options.max_batch_delay_ms = 0.2;
+  options.max_queue_delay_ms = 0.05;
+  options.shed_burst_threshold = 8;
+  options.incident_window_seconds = 30.0;
+  PredictionService service(options);
+  service.LoadSnapshot(fixture.snapshot_a);
 
-  FlightRecorderOptions recorder_options;
-  recorder_options.incident_dir = incident_dir;
-  FlightRecorder::Global().Enable(recorder_options);
-  {
-    PredictionServiceOptions options;
-    options.max_batch_size = 4;
-    options.max_batch_delay_ms = 0.2;
-    options.max_queue_delay_ms = 0.05;
-    options.shed_burst_threshold = 8;
-    options.incident_window_seconds = 30.0;
-    PredictionService service(options);
-    service.LoadSnapshot(fixture.snapshot_a);
-
-    FaultSpec spec;
-    spec.kind = FaultKind::kLatencySpike;
-    spec.seed = seed;
-    spec.max_fires = -1;
-    FaultScope scope("serve.predict", spec);
-    // Two slow warm-up batches push the EWMA far above the 0.05ms queue
-    // budget; from then on every async request is shed at admission.
-    for (int i = 0; i < 2; ++i) {
-      (void)service.Predict(fixture.trace[i % fixture.trace.size()]);
+  FaultSpec spec;
+  spec.kind = FaultKind::kLatencySpike;
+  spec.seed = seed;
+  spec.max_fires = -1;
+  FaultScope scope("serve.predict", spec);
+  const auto example = [&](int i) {
+    return fixture.trace[i % fixture.trace.size()];
+  };
+  // Two slow warm-up batches push the EWMA far above the 0.05ms queue
+  // budget; from then on every async request is shed at admission.
+  for (int i = 0; i < 2; ++i) (void)service.Predict({.example = example(i)});
+  const int64_t before = FlightRecorder::Global().incidents_dumped();
+  std::vector<std::future<ServeReply>> futures;
+  for (int i = 0; i < 512; ++i) {
+    futures.push_back(service.PredictAsync({.example = example(i)}));
+    if (FlightRecorder::Global().incidents_dumped() > before && i >= 16) {
+      break;
     }
-    const int64_t before = FlightRecorder::Global().incidents_dumped();
-    std::vector<std::future<Result<ServedPrediction>>> futures;
-    int shed = 0;
-    for (int i = 0; i < 512; ++i) {
-      futures.push_back(
-          service.PredictAsync(fixture.trace[i % fixture.trace.size()]));
-      if (FlightRecorder::Global().incidents_dumped() > before && i >= 16) {
-        break;
-      }
-    }
-    for (auto& future : futures) {
-      const Result<ServedPrediction> result = future.get();
-      if (!result.ok() && result.status().code() == StatusCode::kUnavailable) {
-        ++shed;
-      }
-    }
-    row.outcome.fires = shed;
-    if (shed < 8) row.outcome.Fail("overload flood shed too few requests");
   }
-  FlightRecorder::Global().Disable();
-
-  const int failures = CheckScenarioIncidents(incident_dir, "serve.shed_burst",
-                                              &row.incidents);
-  *gate_failures += failures;
-  if (failures == 0 && row.outcome.passed) row.outcome.evidence = 1;
-  row.outcome.elapsed_seconds = timer.ElapsedSeconds();
-  return row;
+  for (auto& future : futures) {
+    if (future.get().status.code() == StatusCode::kUnavailable) {
+      ++outcome.fires;
+    }
+  }
+  if (outcome.fires < 8) outcome.Fail("overload flood shed too few requests");
+  return outcome;
 }
 
 /// Dedicated deadline-storm drill: requests admitted with already-expired
 /// deadlines; `deadline_storm_threshold` failures inside the window must
 /// fire exactly one "serve.deadline_storm" incident.
-ScenarioRow RunDeadlineStormDrill(const ServeChaosFixture& fixture,
-                                  const std::string& incident_dir,
-                                  uint64_t seed, int* gate_failures) {
-  ScenarioRow row;
-  row.site = "drill.deadline_storm";
-  row.kind = "expired";
-  row.seed = seed;
-  Timer timer;
-
-  FlightRecorderOptions recorder_options;
-  recorder_options.incident_dir = incident_dir;
-  FlightRecorder::Global().Enable(recorder_options);
-  {
-    PredictionServiceOptions options;
-    options.deadline_storm_threshold = 8;
-    options.incident_window_seconds = 30.0;
-    PredictionService service(options);
-    service.LoadSnapshot(fixture.snapshot_a);
-    for (int i = 0; i < 8; ++i) {
-      const Result<ServedPrediction> result = service.Predict(
-          fixture.trace[i % fixture.trace.size()], Deadline::After(0.0));
-      if (!result.ok() &&
-          result.status().code() == StatusCode::kDeadlineExceeded) {
-        ++row.outcome.fires;
-      }
-    }
-    if (row.outcome.fires < 8) {
-      row.outcome.Fail("expired requests were not all deadline-failed");
+ChaosOutcome DeadlineStormDrill(const ServeChaosFixture& fixture) {
+  ChaosOutcome outcome;
+  PredictionServiceOptions options;
+  options.deadline_storm_threshold = 8;
+  options.incident_window_seconds = 30.0;
+  PredictionService service(options);
+  service.LoadSnapshot(fixture.snapshot_a);
+  for (int i = 0; i < 8; ++i) {
+    const ServeReply reply =
+        service.Predict({.example = fixture.trace[i % fixture.trace.size()],
+                         .deadline = Deadline::After(0.0)});
+    if (reply.status.code() == StatusCode::kDeadlineExceeded) {
+      ++outcome.fires;
     }
   }
-  FlightRecorder::Global().Disable();
-
-  const int failures = CheckScenarioIncidents(
-      incident_dir, "serve.deadline_storm", &row.incidents);
-  *gate_failures += failures;
-  if (failures == 0 && row.outcome.passed) row.outcome.evidence = 1;
-  row.outcome.elapsed_seconds = timer.ElapsedSeconds();
-  return row;
-}
-
-void WriteReport(const std::string& path, const std::vector<ScenarioRow>& rows,
-                 int failures, int rollback_instants, int incident_dumps,
-                 double total_seconds) {
-  std::string out;
-  out += "{\n";
-  out += "  \"benchmark\": \"serve_chaos\",\n";
-  out += "  \"scenarios\": " + std::to_string(rows.size()) + ",\n";
-  out += "  \"failures\": " + std::to_string(failures) + ",\n";
-  out += "  \"rollback_instants\": " + std::to_string(rollback_instants) +
-         ",\n";
-  out += "  \"incident_dumps\": " + std::to_string(incident_dumps) + ",\n";
-  out += "  \"breaker_trips\": " +
-         std::to_string(
-             MetricsRegistry::Global().counter_value("serve.breaker_trips")) +
-         ",\n";
-  out += "  \"rollout_rollbacks\": " +
-         std::to_string(MetricsRegistry::Global().counter_value(
-             "serve.rollout.rollbacks")) +
-         ",\n";
-  out += "  \"registry_rollbacks\": " +
-         std::to_string(MetricsRegistry::Global().counter_value(
-             "serve.registry.rollbacks")) +
-         ",\n";
-  out += "  \"total_seconds\": " + std::to_string(total_seconds) + ",\n";
-  out += "  \"matrix\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScenarioRow& row = rows[i];
-    out += "    {\"site\": \"" + row.site + "\", \"kind\": \"" + row.kind +
-           "\", \"seed\": " + std::to_string(row.seed) +
-           ", \"passed\": " + (row.outcome.passed ? "true" : "false") +
-           ", \"fires\": " + std::to_string(row.outcome.fires) +
-           ", \"evidence\": " + std::to_string(row.outcome.evidence) +
-           ", \"incidents\": " + std::to_string(row.incidents) +
-           ", \"digest_mismatches\": " +
-           std::to_string(row.outcome.digest_mismatches) + "}";
-    out += i + 1 < rows.size() ? ",\n" : "\n";
+  if (outcome.fires < 8) {
+    outcome.Fail("expired requests were not all deadline-failed");
   }
-  out += "  ]\n";
-  out += "}\n";
-  const Status written = AtomicWriteFile(path, out);
-  if (!written.ok()) {
-    std::fprintf(stderr, "report write failed: %s\n",
-                 written.ToString().c_str());
-  }
+  return outcome;
 }
 
 int Main(int argc, char** argv) {
@@ -295,116 +146,60 @@ int Main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "activedp-serve-chaos")
           .string();
   std::filesystem::create_directories(tmpdir);
-
   std::string incident_root = flags.GetString("incident-dir");
   if (incident_root.empty()) {
     incident_root = flags.GetString("trace-dir") + "/incidents-serve-chaos";
   }
-  std::filesystem::remove_all(incident_root);
 
-  MetricsRegistry::Global().ResetAll();
-  Tracer::Global().Enable();
-
-  std::vector<ScenarioRow> rows;
-  int failures = 0;
-  int incident_dumps = 0;
-  int breaker_dumps = 0;
-  int rollback_dumps = 0;
-  Timer total;
-  const int num_seeds = flags.GetInt("seeds");
+  ChaosMatrix matrix({
+      .benchmark = "serve_chaos",
+      .sites =
+          {
+              {"snapshot.save", FaultKindBit(FaultKind::kError) |
+                                    FaultKindBit(FaultKind::kTruncateWrite)},
+              {"serve.snapshot_load", FaultKindBit(FaultKind::kError) |
+                                          FaultKindBit(FaultKind::kCorrupt)},
+              {"serve.dispatch", FaultKindBit(FaultKind::kError)},
+              {"serve.predict", FaultKindBit(FaultKind::kLatencySpike)},
+              {"registry.save", FaultKindBit(FaultKind::kError) |
+                                    FaultKindBit(FaultKind::kTruncateWrite)},
+              {"rollout.canary", FaultKindBit(FaultKind::kError)},
+          },
+      .kinds = {FaultKind::kError, FaultKind::kCorrupt,
+                FaultKind::kTruncateWrite, FaultKind::kLatencySpike},
+      .incident_root = incident_root,
+      .expected_incidents = ExpectedIncidents,
+      .trace_dir = flags.GetString("trace-dir"),
+      .trace_name = "BENCH_serve_chaos",
+  });
   const int steps = flags.GetInt("steps");
-  for (int s = 0; s < num_seeds; ++s) {
-    const uint64_t seed = 7 + 1000003ULL * s;
-    const Result<ServeChaosFixture> fixture = BuildServeChaosFixture(
-        tmpdir, flags.GetString("dataset"), flags.GetDouble("scale"), seed,
-        steps, std::max(1, steps / 2), flags.GetInt("trace"));
-    if (!fixture.ok()) {
-      std::fprintf(stderr, "fixture build failed (seed %llu): %s\n",
-                   static_cast<unsigned long long>(seed),
-                   fixture.status().ToString().c_str());
-      return 1;
-    }
-    for (const ServeChaosSiteInfo& info : ServeChaosSites()) {
-      for (const FaultKind kind : ServeChaosKinds()) {
-        ScenarioRow row;
-        row.site = info.site;
-        row.kind = std::string(FaultKindToString(kind));
-        row.seed = seed;
-        // One incident directory per matrix cell: the flight recorder is
-        // armed for every scenario so the "clean cells dump nothing" half
-        // of the contract is exercised too.
-        const std::string cell_dir = incident_root + "/" + row.site + "-" +
-                                     row.kind + "-seed" + std::to_string(s);
-        FlightRecorderOptions recorder_options;
-        recorder_options.incident_dir = cell_dir;
-        FlightRecorder::Global().Enable(recorder_options);
-        row.outcome = RunServeChaosScenario(*fixture, info.site, kind, seed);
-        FlightRecorder::Global().Disable();
-        const std::string expected_reason =
-            ExpectedIncidentReason(row.site, row.kind);
-        failures +=
-            CheckScenarioIncidents(cell_dir, expected_reason, &row.incidents);
-        incident_dumps += row.incidents;
-        if (row.incidents == 1 && expected_reason == "serve.breaker_trip") {
-          ++breaker_dumps;
-        }
-        if (row.incidents == 1 && expected_reason == "rollout.rollback") {
-          ++rollback_dumps;
-        }
-        std::printf("%-6s %-20s %-14s fires=%-4d evidence=%-3d incidents=%d "
-                    "digest_mismatches=%-3d %6.2fs\n",
-                    row.outcome.passed ? "ok" : "FAIL", row.site.c_str(),
-                    row.kind.c_str(), row.outcome.fires, row.outcome.evidence,
-                    row.incidents, row.outcome.digest_mismatches,
-                    row.outcome.elapsed_seconds);
-        if (!row.outcome.passed) {
-          ++failures;
-          std::fprintf(stderr, "  seed %llu: %s\n",
-                       static_cast<unsigned long long>(seed),
-                       row.outcome.failure.c_str());
-        }
-        rows.push_back(std::move(row));
-      }
-    }
-    if (s == 0) {
-      // The incident-trigger drills the fault matrix cannot reach: shed
-      // bursts and deadline storms (admission-path triggers).
-      for (const auto drill : {&RunShedBurstDrill, &RunDeadlineStormDrill}) {
-        ScenarioRow row = (*drill)(
-            *fixture, incident_root + "/" + std::to_string(rows.size()) +
-                          "-drill",
-            seed, &failures);
-        incident_dumps += row.incidents;
-        std::printf("%-6s %-20s %-14s fires=%-4d evidence=%-3d incidents=%d "
-                    "digest_mismatches=%-3d %6.2fs\n",
-                    row.outcome.passed ? "ok" : "FAIL", row.site.c_str(),
-                    row.kind.c_str(), row.outcome.fires, row.outcome.evidence,
-                    row.incidents, row.outcome.digest_mismatches,
-                    row.outcome.elapsed_seconds);
-        if (!row.outcome.passed) {
-          ++failures;
-          std::fprintf(stderr, "  drill: %s\n", row.outcome.failure.c_str());
-        }
-        rows.push_back(std::move(row));
-      }
-    }
+  const Status swept = matrix.Run<ServeChaosFixture>(
+      flags.GetInt("seeds"), /*base_seed=*/7,
+      [&](uint64_t seed) {
+        return BuildServeChaosFixture(
+            tmpdir, flags.GetString("dataset"), flags.GetDouble("scale"), seed,
+            steps, std::max(1, steps / 2), flags.GetInt("trace"));
+      },
+      RunServeChaosScenario,
+      [&](const ServeChaosFixture& fixture, int s, uint64_t seed) {
+        if (s != 0) return;
+        // The incident-trigger drills the fault matrix cannot reach: shed
+        // bursts and deadline storms (admission-path triggers).
+        matrix.RunDrill("drill.shed_burst", "overload", s, seed,
+                        "serve.shed_burst",
+                        [&] { return ShedBurstDrill(fixture, seed); });
+        matrix.RunDrill("drill.deadline_storm", "expired", s, seed,
+                        "serve.deadline_storm",
+                        [&] { return DeadlineStormDrill(fixture); });
+      });
+  if (!swept.ok()) {
+    std::fprintf(stderr, "%s\n", swept.ToString().c_str());
+    return 1;
   }
-  // Run-level incident gate: the auto-recovery cells must actually have
-  // dumped (one per cell — the per-cell checks above enforce exactness).
-  if (breaker_dumps == 0) {
-    ++failures;
-    std::fprintf(stderr, "FAIL: no serve.breaker_trip incident dump\n");
-  }
-  if (rollback_dumps == 0) {
-    ++failures;
-    std::fprintf(stderr, "FAIL: no rollout.rollback incident dump\n");
-  }
-
-  const RunTrace trace = Tracer::Global().Collect();
-  Tracer::Global().Disable();
 
   // The acceptance check the whole harness exists for: the auto-rollback
   // must be *visible in the timeline*, not just implied by return values.
+  const RunTrace trace = matrix.CollectTrace();
   int rollback_instants = 0;
   for (const TraceEventRecord& event : trace.events) {
     if ((event.category == "serve.registry" ||
@@ -414,26 +209,17 @@ int Main(int argc, char** argv) {
     }
   }
   if (rollback_instants == 0) {
-    ++failures;
-    std::fprintf(stderr,
-                 "FAIL: no rollback instant in the RunTrace timeline\n");
+    matrix.Fail("no rollback instant in the RunTrace timeline");
   }
 
-  std::printf("\n%s", trace.Summary().ToString().c_str());
-  const Status trace_written = WriteRunTrace(
-      trace, flags.GetString("trace-dir"), "BENCH_serve_chaos");
-  if (!trace_written.ok()) {
-    std::fprintf(stderr, "trace export failed: %s\n",
-                 trace_written.ToString().c_str());
-  }
-  WriteReport(flags.GetString("out"), rows, failures, rollback_instants,
-              incident_dumps, total.ElapsedSeconds());
-
-  std::printf("\n%zu scenarios, %d failures, %d rollback instants, "
-              "%d incident dumps, %.1fs\n",
-              rows.size(), failures, rollback_instants, incident_dumps,
-              total.ElapsedSeconds());
-  return failures == 0 ? 0 : 1;
+  const MetricsRegistry& metrics = MetricsRegistry::Global();
+  return matrix.Finish(
+      flags.GetString("out"),
+      {{"rollback_instants", rollback_instants},
+       {"breaker_trips", metrics.counter_value("serve.breaker_trips")},
+       {"rollout_rollbacks", metrics.counter_value("serve.rollout.rollbacks")},
+       {"registry_rollbacks",
+        metrics.counter_value("serve.registry.rollbacks")}});
 }
 
 }  // namespace

@@ -85,7 +85,8 @@ int main() {
                  request.status().ToString().c_str());
     return 1;
   }
-  Result<ServedPrediction> response = service.Predict(*request);
+  Result<ServedPrediction> response =
+      service.Predict({.example = *request}).ToResult();
   if (!response.ok()) {
     std::fprintf(stderr, "predict: %s\n",
                  response.status().ToString().c_str());
@@ -103,10 +104,11 @@ int main() {
   }
 
   // A burst of async requests forms micro-batches.
-  std::vector<std::future<Result<ServedPrediction>>> futures;
+  std::vector<std::future<ServeReply>> futures;
   const int burst = std::min(split->train.size(), 64);
   for (int i = 0; i < burst; ++i) {
-    futures.push_back(service.PredictAsync(split->train.example(i)));
+    futures.push_back(
+        service.PredictAsync({.example = split->train.example(i)}));
   }
   int ok = 0;
   for (auto& future : futures) ok += future.get().ok() ? 1 : 0;
@@ -122,7 +124,8 @@ int main() {
   if (updated.ok()) {
     service.LoadSnapshot(
         std::make_shared<const ModelSnapshot>(std::move(*updated)));
-    Result<ServedPrediction> after = service.Predict(*request);
+    Result<ServedPrediction> after =
+        service.Predict({.example = *request}).ToResult();
     if (after.ok()) {
       std::printf("after hot swap: %s (no restart, no dropped requests)\n",
                   after->label == kAbstain

@@ -26,7 +26,10 @@
 #      sizes, thread counts and a mid-load hot swap; BENCH_serving.json is
 #      archived to bench-archive/)
 #   8. a small-budget chaos sweep (fault sites x kinds x seeds, with
-#      fault accounting and resumability checks; see bench/chaos_sweep.cc)
+#      fault accounting and resumability checks; see bench/chaos_sweep.cc;
+#      BENCH_chaos_sweep.json is archived to bench-archive/). All three
+#      chaos gates run on obs/chaos_matrix.h and print each report's
+#      exercised / undisturbed cell counts next to scenarios / failures
 #   9. the serving chaos gate (bench/serve_chaos: the full serve.* fault
 #      matrix — every injected fault cleanly rejected or auto-recovered,
 #      zero served-digest divergence on the surviving path, the rollback
@@ -267,7 +270,18 @@ fi
 
 if gate_enabled chaos "$SKIP_CHAOS"; then
   echo "== chaos sweep (small budget) =="
-  ./build/bench/chaos_sweep --seeds=2 --steps=24 --budget-seconds=60
+  (cd build/bench && ./chaos_sweep --seeds=2 --steps=24 --budget-seconds=60)
+  CHAOS_JSON="build/bench/bench-archive/BENCH_chaos_sweep.json"
+  if [[ -f "$CHAOS_JSON" ]]; then
+    mkdir -p bench-archive
+    STAMP="$(date +%Y%m%d-%H%M%S)"
+    cp "$CHAOS_JSON" "bench-archive/BENCH_chaos_sweep-$STAMP.json"
+    echo "archived bench-archive/BENCH_chaos_sweep-$STAMP.json"
+    grep -oE '"scenarios": [0-9]+|"exercised": [0-9]+|"undisturbed": [0-9]+|"failures": [0-9]+' \
+      "$CHAOS_JSON" | sed 's/^/  /' || true
+  else
+    echo "note: $CHAOS_JSON not found; skipping archive" >&2
+  fi
 fi
 
 if gate_enabled serve-chaos "$SKIP_SERVE_CHAOS"; then
@@ -280,7 +294,7 @@ if gate_enabled serve-chaos "$SKIP_SERVE_CHAOS"; then
     STAMP="$(date +%Y%m%d-%H%M%S)"
     cp "$SERVE_CHAOS_JSON" "bench-archive/BENCH_serve_chaos-$STAMP.json"
     echo "archived bench-archive/BENCH_serve_chaos-$STAMP.json"
-    grep -oE '"scenarios": [0-9]+|"failures": [0-9]+|"rollback_instants": [0-9]+' \
+    grep -oE '"scenarios": [0-9]+|"exercised": [0-9]+|"undisturbed": [0-9]+|"failures": [0-9]+|"rollback_instants": [0-9]+' \
       "$SERVE_CHAOS_JSON" | sed 's/^/  /' || true
   else
     echo "note: $SERVE_CHAOS_JSON not found; skipping archive" >&2
@@ -303,7 +317,7 @@ if gate_enabled learn "$SKIP_LEARN"; then
       echo "note: build/bench/$report.json not found; skipping archive" >&2
     fi
   done
-  grep -oE '"scenarios": [0-9]+|"failures": [0-9]+|"quarantine_instants": [0-9]+' \
+  grep -oE '"scenarios": [0-9]+|"exercised": [0-9]+|"undisturbed": [0-9]+|"failures": [0-9]+|"quarantine_instants": [0-9]+' \
     build/bench/BENCH_learn_chaos.json | sed 's/^/  /' || true
   grep -oE '"published": [0-9]+|"base_accuracy": [0-9.]+|"final_accuracy": [0-9.]+|"client_failures": [0-9]+' \
     build/bench/BENCH_online.json | sed 's/^/  /' || true
@@ -344,7 +358,7 @@ if gate_enabled obs "$SKIP_OBS"; then
       echo "archived bench-archive/${artifact%%.*}-$STAMP.${artifact#*.}"
     fi
   done
-  grep -oE '"incident_dumps": [0-9]+' \
+  grep -oE '"exercised": [0-9]+|"undisturbed": [0-9]+|"incident_dumps": [0-9]+' \
     build/bench/BENCH_serve_chaos_obs.json \
     build/bench/BENCH_learn_chaos_obs.json | sed 's/^/  /' || true
   grep -oE '"all_met": (true|false)' \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 #include "core/activedp.h"
@@ -14,7 +15,6 @@
 #include "serve/snapshot_export.h"
 #include "serve/snapshot_io.h"
 #include "serve/snapshot_registry.h"
-#include "util/timer.h"
 
 namespace activedp {
 namespace {
@@ -26,28 +26,6 @@ constexpr uint64_t kRolloutSeed = 0x1ea4;
 constexpr int kSegmentRecords = 64;
 
 }  // namespace
-
-const std::vector<LearnChaosSiteInfo>& LearnChaosSites() {
-  static const std::vector<LearnChaosSiteInfo>* sites =
-      new std::vector<LearnChaosSiteInfo>{
-          {"eventlog.append", FaultKindBit(FaultKind::kError) |
-                                  FaultKindBit(FaultKind::kTruncateWrite)},
-          {"eventlog.replay", FaultKindBit(FaultKind::kError) |
-                                  FaultKindBit(FaultKind::kCorrupt)},
-          {"retrain.fit",
-           FaultKindBit(FaultKind::kError) | FaultKindBit(FaultKind::kNan)},
-          {"retrain.validate", FaultKindBit(FaultKind::kError)},
-          {"publish.rollout", FaultKindBit(FaultKind::kError)},
-      };
-  return *sites;
-}
-
-const std::vector<FaultKind>& LearnChaosKinds() {
-  static const std::vector<FaultKind>* kinds = new std::vector<FaultKind>{
-      FaultKind::kError, FaultKind::kNan, FaultKind::kCorrupt,
-      FaultKind::kTruncateWrite};
-  return *kinds;
-}
 
 Result<LearnChaosFixture> BuildLearnChaosFixture(const std::string& dir,
                                                  const std::string& dataset,
@@ -94,21 +72,16 @@ Result<LearnChaosFixture> BuildLearnChaosFixture(const std::string& dir,
   return fixture;
 }
 
-LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
-                                        std::string_view site, FaultKind kind,
-                                        uint64_t seed) {
-  LearnChaosOutcome outcome;
-  Timer timer;
-
-  const LearnChaosSiteInfo* info = nullptr;
-  for (const LearnChaosSiteInfo& candidate : LearnChaosSites()) {
-    if (site == candidate.site) info = &candidate;
-  }
-  if (info == nullptr || fixture.trace.size() < 8) {
-    outcome.Fail("bad scenario setup (unknown site or tiny trace)");
+ChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
+                                   const ChaosSite& chaos_site, FaultKind kind,
+                                   uint64_t seed) {
+  ChaosOutcome outcome;
+  if (fixture.trace.size() < 8) {
+    outcome.Fail("bad scenario setup (tiny trace)");
     return outcome;
   }
-  const bool honored = (FaultKindBit(kind) & info->honored) != 0;
+  const std::string_view site = chaos_site.name;
+  const bool honored = chaos_site.Honors(kind);
   const bool torn_append =
       site == "eventlog.append" && kind == FaultKind::kTruncateWrite && honored;
 
@@ -314,7 +287,6 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
     if (!reopened.ok()) {
       outcome.Fail("log reopen after torn append failed: " +
                    reopened.status().ToString());
-      outcome.elapsed_seconds = timer.ElapsedSeconds();
       return outcome;
     }
     log = std::move(*reopened);
@@ -340,8 +312,6 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
       outcome.Fail("post-fault cycle did not publish: " +
                    std::string(RetrainOutcomeToString(cycle->outcome)) + " (" +
                    cycle->detail + ")");
-    } else {
-      outcome.recovered_publish = true;
     }
   }
 
@@ -362,8 +332,8 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
                    offline.status().ToString());
     } else {
       for (size_t i = 0; i < fixture.trace.size(); ++i) {
-        const Result<ServedPrediction> served =
-            service.Predict(fixture.trace[i]);
+        const ServeReply served =
+            service.Predict({.example = fixture.trace[i]});
         const Result<ServedPrediction> expected =
             offline->Predict(fixture.trace[i]);
         if (!served.ok() || !expected.ok()) {
@@ -371,7 +341,8 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
                        " failed");
           break;
         }
-        if (PredictionDigest(*served) != PredictionDigest(*expected)) {
+        if (PredictionDigest(served.prediction) !=
+            PredictionDigest(*expected)) {
           ++outcome.digest_mismatches;
         }
       }
@@ -382,18 +353,6 @@ LearnChaosOutcome RunLearnChaosScenario(const LearnChaosFixture& fixture,
     }
   }
 
-  if (!honored && outcome.fires > 0) {
-    outcome.Fail("unhonored kind fired " + std::to_string(outcome.fires) +
-                 " times");
-  }
-  if (honored && outcome.fires == 0) {
-    outcome.Fail("site was never exercised (0 fires)");
-  }
-  if (outcome.fires > 0 && outcome.evidence == 0) {
-    outcome.Fail("injected faults left no rejection/quarantine evidence");
-  }
-
-  outcome.elapsed_seconds = timer.ElapsedSeconds();
   std::filesystem::remove_all(scenario_dir, ec);
   return outcome;
 }

@@ -4,30 +4,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "obs/chaos_matrix.h"
 #include "serve/model_snapshot.h"
 #include "util/fault.h"
 #include "util/result.h"
 
 namespace activedp {
-
-/// One serving-side fault site and the fault kinds it can express. The
-/// matrix (sites × kinds) is shared by bench/serve_chaos (the dedicated
-/// gate) and bench/chaos_sweep (the whole-system accounting report), so the
-/// two harnesses can never drift apart on what "full coverage" means.
-struct ServeChaosSiteInfo {
-  const char* site;
-  uint32_t honored;
-};
-
-const std::vector<ServeChaosSiteInfo>& ServeChaosSites();
-
-/// Kinds the serving matrix sweeps (error, corruption, torn write, latency
-/// spike). Unhonored (site, kind) pairs assert zero fires — the sites
-/// declare what they can express and the sweep verifies the declaration.
-const std::vector<FaultKind>& ServeChaosKinds();
 
 /// Everything a serve chaos scenario needs, built once per seed (training a
 /// pipeline is the expensive part): two exported snapshots (A = baseline, B
@@ -55,26 +39,6 @@ Result<ServeChaosFixture> BuildServeChaosFixture(const std::string& dir,
                                                  int steps_a, int steps_b,
                                                  int trace_size);
 
-struct ServeChaosOutcome {
-  bool passed = true;
-  std::string failure;
-  /// Injected-fault fires observed by the armed site.
-  int fires = 0;
-  /// Pieces of evidence the fault was handled: clean rejections, detected
-  /// corruption, circuit-breaker trips, rollout rollbacks, absorbed spikes.
-  int evidence = 0;
-  /// Served responses on the surviving path whose digest diverged from the
-  /// offline prediction of whichever snapshot should be serving. Must be 0.
-  int digest_mismatches = 0;
-  double elapsed_seconds = 0.0;
-
-  void Fail(const std::string& why) {
-    passed = false;
-    if (!failure.empty()) failure += "; ";
-    failure += why;
-  }
-};
-
 /// Runs one (site, kind, seed) serving chaos scenario and asserts the
 /// ServeGuard contract (DESIGN.md §11):
 ///
@@ -88,13 +52,16 @@ struct ServeChaosOutcome {
 ///   - registry state stays consistent: a failed or torn manifest write
 ///     never leaves partial state, a condemned candidate is marked failed,
 ///     a rollback re-activates the previous healthy snapshot;
-///   - unhonored (site, kind) pairs never fire.
+///   - an unhonored kind leaves the save/load, manifest, rollout and
+///     dispatch paths undisturbed.
 ///
-/// Each scenario sets up a fresh registry + service from the fixture, so
-/// scenarios are independent and order-insensitive.
-ServeChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
-                                        std::string_view site, FaultKind kind,
-                                        uint64_t seed);
+/// The scenario callback of bench/serve_chaos's ChaosMatrix, which adds the
+/// fire accounting and incident checks. Each scenario sets up a fresh
+/// registry + service from the fixture, so scenarios are independent and
+/// order-insensitive.
+ChaosOutcome RunServeChaosScenario(const ServeChaosFixture& fixture,
+                                   const ChaosSite& chaos_site, FaultKind kind,
+                                   uint64_t seed);
 
 }  // namespace activedp
 

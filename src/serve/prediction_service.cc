@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -18,13 +17,6 @@
 namespace activedp {
 namespace {
 
-/// Floor for the EWMA per-request service-time sample. Batches on tiny
-/// snapshots finish in microseconds; without a floor the estimated queue
-/// delay rounds to ~0 and the shedder can never engage, which makes the
-/// overload tests timing-dependent.
-constexpr double kMinRequestMsSample = 0.0005;
-/// EWMA smoothing: new = (1 - alpha) * old + alpha * sample.
-constexpr double kEwmaAlpha = 0.2;
 /// Bounded sleep injected by the "serve.predict" kLatencySpike fault site.
 constexpr double kLatencySpikeMs = 20.0;
 
@@ -70,24 +62,6 @@ struct ServeMetrics {
   }
 };
 
-/// Fires one flight-recorder incident from its destructor — declared
-/// *before* a lock scope so the dump's file IO always runs after the lock
-/// is released, even on the early-return admission paths.
-struct DeferredIncident {
-  const char* reason = nullptr;
-  ~DeferredIncident() {
-    if (reason != nullptr) {
-      (void)FlightRecorder::Global().TriggerIncident(reason);
-    }
-  }
-};
-
-/// The retry-after carried in RejectInfo: the estimated time for the
-/// backlog to drain, floored at 1ms so clients always get a usable hint.
-double RetryAfterMs(double estimated_delay_ms) {
-  return std::max(1.0, std::ceil(estimated_delay_ms));
-}
-
 }  // namespace
 
 PredictionService::PredictionService(PredictionServiceOptions options)
@@ -124,21 +98,6 @@ double PredictionService::EstimatedQueueDelayMsLocked() const {
   return (static_cast<double>(queue_.size()) + 1.0) * ewma_request_ms_;
 }
 
-bool PredictionService::NoteWindowEventLocked(int64_t* window_start_us,
-                                              int* count, int threshold) {
-  if (threshold <= 0) return false;
-  const int64_t now = ObsNowMicros();
-  const int64_t window_us =
-      static_cast<int64_t>(options_.incident_window_seconds * 1e6);
-  if (now - *window_start_us > window_us) {
-    *window_start_us = now;
-    *count = 0;
-  }
-  if (++*count < threshold) return false;
-  *count = 0;
-  return true;
-}
-
 void PredictionService::Submit(ServeRequest request,
                                std::function<void(ServeReply)> resolve) {
   ServeMetrics& metrics = ServeMetrics::Get();
@@ -173,9 +132,9 @@ void PredictionService::Submit(ServeRequest request,
           Status::FailedPrecondition("no model snapshot loaded"));
     } else if (request.deadline.expired()) {
       metrics.expired.Increment();
-      if (NoteWindowEventLocked(&deadline_window_start_us_,
-                                &deadline_window_count_,
-                                options_.deadline_storm_threshold)) {
+      if (NoteWindowEvent(&deadline_window_start_us_, &deadline_window_count_,
+                          options_.deadline_storm_threshold,
+                          options_.incident_window_seconds)) {
         TraceInstant("serve", "deadline_storm",
                      std::to_string(options_.deadline_storm_threshold) +
                          " deadline failures within the incident window");
@@ -191,9 +150,10 @@ void PredictionService::Submit(ServeRequest request,
       if (!request.deadline.is_infinite() &&
           estimate_ms > request.deadline.remaining_seconds() * 1000.0) {
         metrics.expired.Increment();
-        if (NoteWindowEventLocked(&deadline_window_start_us_,
-                                  &deadline_window_count_,
-                                  options_.deadline_storm_threshold)) {
+        if (NoteWindowEvent(&deadline_window_start_us_,
+                            &deadline_window_count_,
+                            options_.deadline_storm_threshold,
+                            options_.incident_window_seconds)) {
           TraceInstant("serve", "deadline_storm",
                        std::to_string(options_.deadline_storm_threshold) +
                            " deadline failures within the incident window");
@@ -213,8 +173,9 @@ void PredictionService::Submit(ServeRequest request,
         // below).
         metrics.rejected.Increment();
         metrics.shed.Increment();
-        if (NoteWindowEventLocked(&shed_window_start_us_, &shed_window_count_,
-                                  options_.shed_burst_threshold)) {
+        if (NoteWindowEvent(&shed_window_start_us_, &shed_window_count_,
+                            options_.shed_burst_threshold,
+                            options_.incident_window_seconds)) {
           TraceInstant("serve", "shed_burst",
                        std::to_string(options_.shed_burst_threshold) +
                            " requests shed within the incident window");
@@ -266,24 +227,6 @@ ServeReply PredictionService::Predict(ServeRequest request) {
 void PredictionService::PredictWithCallback(
     ServeRequest request, std::function<void(ServeReply)> done) {
   Submit(std::move(request), std::move(done));
-}
-
-std::future<Result<ServedPrediction>> PredictionService::PredictAsync(
-    Example example, Deadline deadline) {
-  auto promise = std::make_shared<std::promise<Result<ServedPrediction>>>();
-  std::future<Result<ServedPrediction>> future = promise->get_future();
-  ServeRequest request;
-  request.example = std::move(example);
-  request.deadline = deadline;
-  Submit(std::move(request), [promise](ServeReply reply) {
-    promise->set_value(std::move(reply).ToResult());
-  });
-  return future;
-}
-
-Result<ServedPrediction> PredictionService::Predict(Example example,
-                                                    Deadline deadline) {
-  return PredictAsync(std::move(example), deadline).get();
 }
 
 void PredictionService::AttachEventLog(EventLog* log) {

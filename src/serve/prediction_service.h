@@ -154,16 +154,6 @@ class PredictionService {
   void PredictWithCallback(ServeRequest request,
                            std::function<void(ServeReply)> done);
 
-  /// Deprecated positional-arg shim (pre-TenantMesh API; removal window:
-  /// two PRs, see README). Equivalent to PredictAsync(ServeRequest{...})
-  /// with the RejectInfo dropped from the collapsed Result.
-  std::future<Result<ServedPrediction>> PredictAsync(
-      Example example, Deadline deadline = Deadline::Infinite());
-
-  /// Deprecated positional-arg shim; see PredictAsync(Example, Deadline).
-  Result<ServedPrediction> Predict(Example example,
-                                   Deadline deadline = Deadline::Infinite());
-
   /// Attaches the durable feedback log RecordFeedback appends to (borrowed;
   /// must outlive the service or be detached with nullptr first). The
   /// LearnGuard loop (online/retrainer.h) consumes what lands here.
@@ -223,12 +213,6 @@ class PredictionService {
   /// Estimated time for a request admitted now to reach dispatch, from the
   /// EWMA per-request service time. Caller holds mutex_.
   double EstimatedQueueDelayMsLocked() const;
-  /// Rolling-window burst counter for the incident triggers: counts one
-  /// event, returns true when `threshold` events landed within
-  /// options_.incident_window_seconds (and resets for the next burst).
-  /// Caller holds mutex_.
-  bool NoteWindowEventLocked(int64_t* window_start_us, int* count,
-                             int threshold);
 
   const PredictionServiceOptions options_;
 

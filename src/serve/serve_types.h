@@ -1,6 +1,7 @@
 #ifndef ACTIVEDP_SERVE_SERVE_TYPES_H_
 #define ACTIVEDP_SERVE_SERVE_TYPES_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,8 +52,8 @@ struct RejectInfo {
 /// >= 1 lets a request bypass *adaptive* shedding (EWMA queue-delay checks)
 /// — never hard limits (queue depth, tenant quota) or deadline checks.
 struct ServeRequest {
-  std::string tenant_id;
-  Example example;
+  std::string tenant_id{};
+  Example example{};
   Deadline deadline = Deadline::Infinite();
   int priority = 0;
 };
@@ -68,8 +69,8 @@ struct ServeReply {
 
   bool ok() const { return status.ok(); }
 
-  /// Collapses to the legacy Result shape (drops RejectInfo) — what the
-  /// deprecated positional-arg shims return.
+  /// Collapses to the Result shape (drops RejectInfo) for callers that
+  /// only branch on the status.
   Result<ServedPrediction> ToResult() const& {
     if (status.ok()) return prediction;
     return status;
@@ -95,6 +96,46 @@ struct ServeReply {
     reply.reject = info;
     return reply;
   }
+};
+
+// Admission-control helpers shared by PredictionService (per shard) and
+// ShardRouter (per tenant).
+
+/// Floor for the EWMA per-request service-time sample. Batches on tiny
+/// snapshots finish in microseconds; without a floor the estimated queue
+/// delay rounds to ~0 and the shedder can never engage, which makes the
+/// overload tests timing-dependent.
+inline constexpr double kMinRequestMsSample = 0.0005;
+/// EWMA smoothing: new = (1 - alpha) * old + alpha * sample.
+inline constexpr double kEwmaAlpha = 0.2;
+
+/// The retry-after carried in RejectInfo: the estimated time for the
+/// backlog to drain, floored at 1ms so clients always get a usable hint.
+double RetryAfterMs(double estimated_delay_ms);
+
+/// Rolling-window burst counter for the incident triggers: counts one
+/// event, returns true when `threshold` events landed within
+/// `window_seconds` (and resets for the next burst). Never fires when
+/// `threshold` <= 0. Caller holds the lock guarding the window state.
+bool NoteWindowEvent(int64_t* window_start_us, int* count, int threshold,
+                     double window_seconds);
+
+/// Fires one flight-recorder incident from its destructor — declared
+/// *before* a lock scope so the dump's file IO always runs after the lock
+/// is released, even on the early-return admission paths. Every request
+/// constructs one, so the no-incident check stays inline.
+struct DeferredIncident {
+  DeferredIncident() = default;
+  DeferredIncident(const DeferredIncident&) = delete;
+  DeferredIncident& operator=(const DeferredIncident&) = delete;
+  ~DeferredIncident() {
+    if (reason != nullptr) Trigger();
+  }
+
+  const char* reason = nullptr;
+
+ private:
+  void Trigger() const;
 };
 
 }  // namespace activedp

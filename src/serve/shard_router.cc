@@ -1,7 +1,6 @@
 #include "serve/shard_router.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -18,12 +17,6 @@ namespace activedp {
 namespace {
 
 constexpr char kCanaryFaultSite[] = "rollout.canary";
-
-/// Same EWMA discipline as the PredictionService shedder, scoped per
-/// tenant: floor the round-trip sample so microsecond-fast tenants still
-/// accumulate a usable estimate.
-constexpr double kMinRequestMsSample = 0.0005;
-constexpr double kEwmaAlpha = 0.2;
 
 /// splitmix64 finalizer (same mix as serve/rollout.cc, util/fault.cc) —
 /// the counter-hash core of the routing determinism contract.
@@ -43,38 +36,6 @@ uint64_t Fnv1a(const std::string& s) {
   }
   return hash;
 }
-
-double RetryAfterMs(double estimated_delay_ms) {
-  return std::max(1.0, std::ceil(estimated_delay_ms));
-}
-
-/// Rolling-window burst counter (the PredictionService incident-window
-/// logic, per tenant). Caller holds the router lock.
-bool NoteWindowEvent(int64_t* window_start_us, int* count, int threshold,
-                     double window_seconds) {
-  if (threshold <= 0) return false;
-  const int64_t now = ObsNowMicros();
-  const int64_t window_us = static_cast<int64_t>(window_seconds * 1e6);
-  if (now - *window_start_us > window_us) {
-    *window_start_us = now;
-    *count = 0;
-  }
-  if (++*count < threshold) return false;
-  *count = 0;
-  return true;
-}
-
-/// Fires one flight-recorder incident from its destructor — declared
-/// before the lock scope so the dump's file IO runs after the lock is
-/// released on every return path.
-struct DeferredIncident {
-  const char* reason = nullptr;
-  ~DeferredIncident() {
-    if (reason != nullptr) {
-      (void)FlightRecorder::Global().TriggerIncident(reason);
-    }
-  }
-};
 
 Histogram& TenantLatencyHistogram(const std::string& tenant_id) {
   return MetricsRegistry::Global().histogram(

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "json_checker.h"
 #include "obs/flight_recorder.h"
 #include "obs/slo.h"
 #include "util/atomic_file.h"
@@ -23,134 +24,6 @@
 
 namespace activedp {
 namespace {
-
-// Minimal recursive-descent JSON syntax checker (mirrors trace_test.cc) —
-// enough to prove exported text is well-formed without a JSON dependency.
-class JsonChecker {
- public:
-  static bool Valid(const std::string& text) {
-    JsonChecker checker(text);
-    checker.SkipWs();
-    if (!checker.Value()) return false;
-    checker.SkipWs();
-    return checker.pos_ == text.size();
-  }
-
- private:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool Value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool Number() {
-    const size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool Literal(const std::string& word) {
-    if (text_.compare(pos_, word.size(), word) != 0) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = testing::TempDir() + "/" + name;

@@ -255,7 +255,8 @@ TEST_F(StagedRolloutTest, HealthyCandidateIsPromotedAndHotSwappedIn) {
 
   // The service was hot-swapped to the candidate: it now serves B's bitwise
   // predictions.
-  const Result<ServedPrediction> served = service.Predict(fixture_->trace[0]);
+  const Result<ServedPrediction> served =
+      service.Predict({.example = fixture_->trace[0]}).ToResult();
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(PredictionDigest(*served), fixture_->digests_b[0]);
 }
@@ -276,7 +277,8 @@ TEST_F(StagedRolloutTest, FaultyCanaryIsRolledBackAndNeverServed) {
   EXPECT_EQ(stage.registry.Get(stage.id_b)->status, SnapshotStatus::kFailed);
 
   // The data plane never saw the condemned candidate.
-  const Result<ServedPrediction> served = service.Predict(fixture_->trace[0]);
+  const Result<ServedPrediction> served =
+      service.Predict({.example = fixture_->trace[0]}).ToResult();
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(PredictionDigest(*served), fixture_->digests_a[0]);
 }

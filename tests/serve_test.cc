@@ -81,12 +81,12 @@ TEST_F(ServeTest, ServedEqualsOfflineAcrossBatchSizes) {
     options.max_batch_delay_ms = 0.5;
     PredictionService service(options);
     service.LoadSnapshot(*snapshot_a_);
-    std::vector<std::future<Result<ServedPrediction>>> futures;
+    std::vector<std::future<ServeReply>> futures;
     for (int i = 0; i < n; ++i) {
-      futures.push_back(service.PredictAsync(TrainExample(i)));
+      futures.push_back(service.PredictAsync({.example = TrainExample(i)}));
     }
     for (int i = 0; i < n; ++i) {
-      Result<ServedPrediction> served = futures[i].get();
+      Result<ServedPrediction> served = futures[i].get().ToResult();
       ASSERT_TRUE(served.ok()) << served.status().ToString();
       Result<ServedPrediction> offline =
           (*snapshot_a_)->Predict(TrainExample(i));
@@ -108,7 +108,8 @@ TEST_F(ServeTest, ServedEqualsOfflineAcrossThreadCounts) {
     PredictionService service;
     service.LoadSnapshot(*snapshot_a_);
     for (int i = 0; i < n; ++i) {
-      Result<ServedPrediction> served = service.Predict(TrainExample(i));
+      Result<ServedPrediction> served =
+          service.Predict({.example = TrainExample(i)}).ToResult();
       ASSERT_TRUE(served.ok());
       Result<ServedPrediction> offline =
           (*snapshot_a_)->Predict(TrainExample(i));
@@ -140,7 +141,8 @@ TEST_F(ServeTest, HotSwapUnderLoadServesOneOfTheTwoSnapshots) {
     clients.emplace_back([&, c] {
       for (int k = 0; k < kPerClient; ++k) {
         const int row = c * kPerClient + k;
-        Result<ServedPrediction> served = service.Predict(TrainExample(row));
+        Result<ServedPrediction> served =
+            service.Predict({.example = TrainExample(row)}).ToResult();
         if (!served.ok()) {
           mismatches.fetch_add(1);
           continue;
@@ -201,21 +203,21 @@ TEST_F(ServeTest, QueueFullReturnsUnavailable) {
 TEST_F(ServeTest, ExpiredDeadlineFailsFastWithoutPoisoningTheBatch) {
   PredictionService service;
   service.LoadSnapshot(*snapshot_a_);
-  std::future<Result<ServedPrediction>> expired =
-      service.PredictAsync(TrainExample(0), Deadline::After(0.0));
-  std::future<Result<ServedPrediction>> healthy =
-      service.PredictAsync(TrainExample(1));
-  const Result<ServedPrediction> expired_result = expired.get();
-  ASSERT_FALSE(expired_result.ok());
-  EXPECT_EQ(expired_result.status().code(), StatusCode::kDeadlineExceeded);
+  std::future<ServeReply> expired = service.PredictAsync(
+      {.example = TrainExample(0), .deadline = Deadline::After(0.0)});
+  std::future<ServeReply> healthy =
+      service.PredictAsync({.example = TrainExample(1)});
+  const ServeReply expired_reply = expired.get();
+  ASSERT_FALSE(expired_reply.ok());
+  EXPECT_EQ(expired_reply.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(healthy.get().ok());
 }
 
 TEST_F(ServeTest, RequestsWithoutSnapshotAreRejected) {
   PredictionService service;
-  const Result<ServedPrediction> result = service.Predict(TrainExample(0));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  const ServeReply reply = service.Predict({.example = TrainExample(0)});
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ServeTest, ShutdownDrainsQueuedRequests) {
@@ -224,19 +226,19 @@ TEST_F(ServeTest, ShutdownDrainsQueuedRequests) {
   options.max_batch_delay_ms = 50.0;
   auto service = std::make_unique<PredictionService>(options);
   service->LoadSnapshot(*snapshot_a_);
-  std::vector<std::future<Result<ServedPrediction>>> futures;
+  std::vector<std::future<ServeReply>> futures;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(service->PredictAsync(TrainExample(i)));
+    futures.push_back(service->PredictAsync({.example = TrainExample(i)}));
   }
   service->Shutdown();
   for (auto& future : futures) {
-    const Result<ServedPrediction> result = future.get();
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    const ServeReply reply = future.get();
+    EXPECT_TRUE(reply.ok()) << reply.status.ToString();
   }
   // After shutdown new requests are refused, not queued forever.
-  const Result<ServedPrediction> late = service->Predict(TrainExample(0));
+  const ServeReply late = service->Predict({.example = TrainExample(0)});
   ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(late.status.code(), StatusCode::kUnavailable);
 }
 
 TEST_F(ServeTest, AdaptiveShedderRejectsWithStructuredRejectInfo) {
@@ -250,7 +252,7 @@ TEST_F(ServeTest, AdaptiveShedderRejectsWithStructuredRejectInfo) {
   service.LoadSnapshot(*snapshot_a_);
 
   // Cold shedder: the first request is admitted and served normally.
-  ASSERT_TRUE(service.Predict(TrainExample(0)).ok());
+  ASSERT_TRUE(service.Predict({.example = TrainExample(0)}).ok());
 
   ServeRequest request;
   request.example = TrainExample(1);
@@ -283,15 +285,16 @@ TEST_F(ServeTest, DoomedDeadlinesFailFastAtAdmission) {
   options.max_batch_delay_ms = 50.0;
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
-  ASSERT_TRUE(service.Predict(TrainExample(0)).ok());  // warm the EWMA
+  // Warm the EWMA.
+  ASSERT_TRUE(service.Predict({.example = TrainExample(0)}).ok());
 
   // 100ns of budget: already expired at admission, or (with the EWMA warm)
   // provably unable to survive the queue. Both are a fail-fast
   // DeadlineExceeded, never a queued request that times out later.
-  const Result<ServedPrediction> doomed =
-      service.Predict(TrainExample(1), Deadline::After(1e-7));
+  const ServeReply doomed = service.Predict(
+      {.example = TrainExample(1), .deadline = Deadline::After(1e-7)});
   ASSERT_FALSE(doomed.ok());
-  EXPECT_EQ(doomed.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(doomed.status.code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
@@ -302,8 +305,8 @@ TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
   PredictionService service(options);
   service.LoadSnapshot(*snapshot_a_);
   // Two healthy batches make A the last-known-good.
-  ASSERT_TRUE(service.Predict(TrainExample(0)).ok());
-  ASSERT_TRUE(service.Predict(TrainExample(1)).ok());
+  ASSERT_TRUE(service.Predict({.example = TrainExample(0)}).ok());
+  ASSERT_TRUE(service.Predict({.example = TrainExample(1)}).ok());
   ASSERT_EQ(service.last_known_good(), *snapshot_a_);
 
   service.LoadSnapshot(*snapshot_b_);
@@ -313,9 +316,9 @@ TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
     spec.max_fires = options.breaker_threshold;
     FaultScope scope("serve.dispatch", spec);
     for (int i = 0; i < options.breaker_threshold; ++i) {
-      const Result<ServedPrediction> failed = service.Predict(TrainExample(i));
+      const ServeReply failed = service.Predict({.example = TrainExample(i)});
       ASSERT_FALSE(failed.ok());
-      EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(failed.status.code(), StatusCode::kInternal);
     }
     EXPECT_EQ(scope.fire_count(), options.breaker_threshold);
   }
@@ -323,8 +326,8 @@ TEST_F(ServeTest, CircuitBreakerDegradesToLastKnownGood) {
   // swapped back to A; the service recovers without operator action.
   EXPECT_EQ(service.breaker_trips(), 1);
   EXPECT_EQ(service.snapshot(), *snapshot_a_);
-  const Result<ServedPrediction> recovered = service.Predict(TrainExample(2));
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const ServeReply recovered = service.Predict({.example = TrainExample(2)});
+  ASSERT_TRUE(recovered.ok()) << recovered.status.ToString();
   EXPECT_EQ(service.Health().breaker_trips, 1);
 }
 
@@ -344,9 +347,9 @@ TEST_F(ServeTest, PredictWithRetryRecoversFromTransientFaults) {
   policy.max_attempts = 3;
   policy.seed = 7;
   RetryLog log;
-  const Result<ServedPrediction> result = PredictWithRetry(
-      service, TrainExample(0), Deadline::Infinite(), policy, &log);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ServeReply reply =
+      PredictWithRetry(service, {.example = TrainExample(0)}, policy, &log);
+  ASSERT_TRUE(reply.ok()) << reply.status.ToString();
   EXPECT_EQ(scope.fire_count(), 1);
   EXPECT_EQ(log.count("serve.submit"), 1);
   EXPECT_EQ(log.recovered_count("serve.submit"), 1);
@@ -357,17 +360,17 @@ TEST_F(ServeTest, PredictWithRetryDoesNotRetryDeterministicFailures) {
   RetryPolicy policy;
   policy.max_attempts = 4;
   RetryLog log;
-  const Result<ServedPrediction> result = PredictWithRetry(
-      service, TrainExample(0), Deadline::Infinite(), policy, &log);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  const ServeReply reply =
+      PredictWithRetry(service, {.example = TrainExample(0)}, policy, &log);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(log.count("serve.submit"), 0);
 }
 
 TEST_F(ServeTest, ServeReplyCarriesStructuredRejectInfo) {
   // The structured replacement for the old "retry-after-ms=<n>" string
-  // hint: RejectInfo rides alongside the Status, and the deprecated
-  // positional-arg shims collapse it away via ToResult().
+  // hint: RejectInfo rides alongside the Status, and ToResult() collapses
+  // it away for callers that only branch on the status.
   ServeReply reply = ServeReply::Rejected(
       Status::Unavailable("prediction queue is full (depth=8 of max 8)"),
       RejectInfo{12.0, 8, RejectReason::kQueueFull});
@@ -413,9 +416,10 @@ TEST_F(ServeTest, PredictWithRetryClampsBackoffToTheDeadlineBudget) {
   policy.sleep = true;
   RetryLog log;
   const Deadline deadline = Deadline::After(0.5);
-  const Result<ServedPrediction> result =
-      PredictWithRetry(service, TrainExample(0), deadline, policy, &log);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ServeReply reply = PredictWithRetry(
+      service, {.example = TrainExample(0), .deadline = deadline}, policy,
+      &log);
+  ASSERT_TRUE(reply.ok()) << reply.status.ToString();
   ASSERT_EQ(log.count("serve.submit"), 1);
   EXPECT_LE(log.events()[0].backoff_ms, 250.0)
       << "backoff not clamped to the deadline budget";
